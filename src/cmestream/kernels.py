@@ -131,6 +131,14 @@ def eval_kernel(kernel: Kernel, a, b) -> float:
     return float(_pairwise(kernel, pa, pb)[0, 0])
 
 
+def self_kernel(kernel: Kernel, point) -> float:
+    """k(p, p): exactly 1.0 for the Gaussian family (its ``exp(-0.0)``),
+    ``eval_kernel(kernel, p, p)`` otherwise."""
+    if kernel.family == "gaussian":
+        return 1.0
+    return eval_kernel(kernel, point, point)
+
+
 def gram_matrix(kernel: Kernel, points) -> np.ndarray:
     """Symmetric PSD matrix of pairwise kernel values."""
     pts = _as_points(points, "points")
@@ -208,8 +216,8 @@ def woodbury_append(G_inv, new_column, new_diag: float, gram=None) -> np.ndarray
     kernel values against the new point and ``new_diag`` the new jittered
     diagonal entry.  Falls back to a direct factorization of the bordered
     matrix when the Schur complement degenerates; ``gram`` optionally
-    supplies the jittered d x d matrix for that path (otherwise it is
-    recovered by inverting ``G_inv``).
+    supplies the jittered d x d matrix for that path, or a callable that
+    builds it on demand (otherwise it is recovered by inverting ``G_inv``).
     """
     Gi = np.asarray(G_inv, dtype=float)
     b = np.asarray(new_column, dtype=float).reshape(-1)
@@ -234,7 +242,10 @@ def woodbury_append(G_inv, new_column, new_diag: float, gram=None) -> np.ndarray
         out[d, d] = 1.0 / s
         return out
 
-    A = np.asarray(gram, dtype=float) if gram is not None else np.linalg.inv(Gi)
+    if gram is None:
+        A = np.linalg.inv(Gi)
+    else:
+        A = np.asarray(gram() if callable(gram) else gram, dtype=float)
     bordered = np.empty((d + 1, d + 1))
     bordered[:d, :d] = A
     bordered[:d, d] = b
@@ -315,7 +326,7 @@ class GramCache:
         if kvec is None:
             kvec = self.kernel_vector(p)
         if diag is None:
-            diag = eval_kernel(self.kernel, p, p)
+            diag = self_kernel(self.kernel, p)
         d = self.size
         self._grow(d + 1)
         self._pts[d] = p[0]
@@ -331,7 +342,7 @@ class GramCache:
         Gi = self._Ginv[:d, :d]
         try:
             upd = woodbury_append(Gi, kvec, diag + self.jitter,
-                                  gram=self._G[:d, :d] + self.jitter * np.eye(d))
+                                  gram=lambda: self._G[:d, :d] + self.jitter * np.eye(d))
         except NumericalError:
             upd = None
         if upd is None:

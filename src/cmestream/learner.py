@@ -10,11 +10,16 @@ The gradient step has the structure ``U~ = a U + eta g (x) phi_X(x)`` with
 ``a = 1 - lambda*eta`` and ``g = k_Y(y,.) - U phi_X(x)``, so the projection
 test only ever concerns the rank-one correction: its residual and optimal
 coefficients come from two linear solves against the cached Gram inverses.
-The learner exploits this together with two internal caches, ``W = c*Wf``
-and ``P = G_Y W = c*Pf`` (a shared scalar factor absorbs the per-step decay
-``a``), to keep every step at O(d^2) with no full-matrix rescaling.  This is
-an implementation detail: the produced operators match the plain coefficient
-recursion to machine precision (covered by the equivalence tests).
+The coefficient matrix is held factored as ``W = c * (Wf + U V^T)``: a
+scalar factor ``c`` absorbs the per-step decay ``a``, and the rank-one
+updates of projected steps collect as columns of a pending low-rank block
+``U V^T`` (at most ``_BLOCK`` columns) that is added into ``Wf`` with one
+matrix product when it fills or before ``Wf`` is read whole or restructured.
+Products with ``W`` apply the block as two thin mat-vecs, and ``G_Y W k_x``
+is one mat-vec against the Y Gram, so every step stays O(d^2) and none
+rewrites a d x d matrix element by element.  This is an implementation
+detail: the produced operators match the plain coefficient recursion to
+machine precision (covered by the equivalence tests).
 """
 
 from __future__ import annotations
@@ -25,12 +30,13 @@ from typing import NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from .errors import CapacityError, ConfigError, InputError, NumericalError
-from .kernels import DEFAULT_JITTER_SCALE, GramCache, Kernel, eval_kernel
+from .kernels import DEFAULT_JITTER_SCALE, GramCache, Kernel, self_kernel
 from .operator import Dictionary, OperatorRep, zero_rep
 
 _MIN_FACTOR = 1e-100       # renormalize the scalar factor below this
 _SLOW_DECAY = 1e-12        # a below this: take the direct (unfactored) path
 _DELTA_CLAMP_RTOL = 1e-9
+_BLOCK = 32                # columns of the pending low-rank block U V^T
 
 
 # ---------------------------------------------------------------------------
@@ -252,9 +258,11 @@ class LearnerState:
         self.gram_x = GramCache(cfg.kernel_x, cfg.jitter_scale)
         self.gram_y = GramCache(cfg.kernel_y, cfg.jitter_scale)
         self.stats: list[StepRecord] = []
-        self._c = 1.0               # scalar factor: W = c * Wf, P = c * Pf
+        self._c = 1.0               # scalar factor: W = c * (Wf + U V^T)
         self._Wf: Optional[np.ndarray] = None   # capacity buffer
-        self._Pf: Optional[np.ndarray] = None   # capacity buffer, P = G_Y W
+        self._Ut: Optional[np.ndarray] = None   # U^T, _BLOCK x capacity
+        self._Vt: Optional[np.ndarray] = None   # V^T, _BLOCK x capacity
+        self._m = 0                 # pending columns of U and V
         self._norm_sq = 0.0         # |U_t|_HS^2, tracked incrementally
 
     # -- sizes and views -----------------------------------------------------
@@ -263,16 +271,13 @@ class LearnerState:
     def dict_size(self) -> int:
         return self.gram_x.size
 
-    def _views(self):
-        d = self.dict_size
-        return self._Wf[:d, :d], self._Pf[:d, :d]
-
     @property
     def coefficients(self) -> np.ndarray:
         """Current coefficient matrix W (materialized copy)."""
         d = self.dict_size
         if d == 0:
             return np.zeros((0, 0))
+        self._flush()
         return self._c * self._Wf[:d, :d]
 
     @property
@@ -303,20 +308,47 @@ class LearnerState:
         new_cap = max(16, cap)
         while new_cap < need:
             new_cap *= 2
+        self._flush()
         d = self.dict_size
-        for name in ("_Wf", "_Pf"):
-            old = getattr(self, name)
-            buf = np.empty((new_cap, new_cap))
-            if old is not None and d:
-                buf[:d, :d] = old[:d, :d]
-            setattr(self, name, buf)
+        buf = np.empty((new_cap, new_cap))
+        if d:
+            buf[:d, :d] = self._Wf[:d, :d]
+        self._Wf = buf
+        self._Ut = np.empty((_BLOCK, new_cap))
+        self._Vt = np.empty((_BLOCK, new_cap))
+
+    def _flush(self):
+        """Add the pending block into ``Wf``: ``Wf += U V^T``."""
+        m = self._m
+        if m:
+            d = self.dict_size
+            self._Wf[:d, :d] += self._Ut[:m, :d].T @ self._Vt[:m, :d]
+            self._m = 0
+
+    def _push(self, u: np.ndarray, v: np.ndarray):
+        """Queue the factored rank-one update ``Wf += u v^T``."""
+        m = self._m
+        self._Ut[m, : u.shape[0]] = u
+        self._Vt[m, : v.shape[0]] = v
+        self._m = m + 1
+        if self._m == _BLOCK:
+            self._flush()
+
+    def _apply(self, v: np.ndarray) -> np.ndarray:
+        """``(Wf + U V^T) v`` in factored units."""
+        d = self.dict_size
+        out = self._Wf[:d, :d] @ v
+        m = self._m
+        if m:
+            out += self._Ut[:m, :d].T @ (self._Vt[:m, :d] @ v)
+        return out
 
     def _renormalize(self):
         if self._c >= _MIN_FACTOR:
             return
+        self._flush()
         d = self.dict_size
         self._Wf[:d, :d] *= self._c
-        self._Pf[:d, :d] *= self._c
         self._c = 1.0
 
     def _refactor(self, W_new: np.ndarray):
@@ -325,9 +357,9 @@ class LearnerState:
         self._grow(d)
         self._c = 1.0
         self._Wf[:d, :d] = W_new
-        self._Pf[:d, :d] = self.gram_y.G[:d, :d] @ W_new
+        P = self.gram_y.G[:d, :d] @ W_new
         Q = W_new @ self.gram_x.G[:d, :d]
-        self._norm_sq = float(np.sum(self._Pf[:d, :d] * Q))
+        self._norm_sq = float(np.sum(P * Q))
 
 
 def new_state(cfg: LearnerConfig) -> LearnerState:
@@ -356,9 +388,8 @@ def _find_atom(points: np.ndarray, p: np.ndarray) -> Optional[int]:
 
 
 def _admit(state: LearnerState, x, y, k_x, k_y, s_x, s_y, eta, a,
-           norm_tilde_sq, wk, pk, kwk):
-    """Extend the dictionary; ``wk``/``pk`` are W k_x and P k_x in factored
-    units and ``kwk`` is the absolute k_y^T W k_x."""
+           norm_tilde_sq, wk):
+    """Extend the dictionary; ``wk`` is W k_x in factored units."""
     cfg = state.cfg
     d = state.dict_size
     if cfg.max_dictionary is not None and d + 1 > cfg.max_dictionary:
@@ -367,14 +398,11 @@ def _admit(state: LearnerState, x, y, k_x, k_y, s_x, s_y, eta, a,
             state=state,
         )
     c_new = a * state._c
+    state._flush()
     state._grow(d + 1)
-    W, P = state._Wf, state._Pf
-    wty = W[:d, :d].T @ k_y
+    W = state._Wf
     W[:d, d] = (-eta / a) * wk
     W[d, :d] = 0.0
-    P[:d, d] = (eta / c_new) * (k_y - state._c * pk)
-    P[d, :d] = wty
-    P[d, d] = eta * (s_y - kwk) / c_new
     W[d, d] = eta / c_new
     state._c = c_new
     state._norm_sq = norm_tilde_sq
@@ -400,13 +428,12 @@ def step(state: LearnerState, cfg: LearnerConfig, sample) -> LearnerState:
 
     if d == 0:
         # first sample always starts the dictionary
-        s_x = eval_kernel(cfg.kernel_x, x, x)
-        s_y = eval_kernel(cfg.kernel_y, y, y)
+        s_x = self_kernel(cfg.kernel_x, x)
+        s_y = self_kernel(cfg.kernel_y, y)
         delta = eta * eta * s_x * s_y      # empty span: residual is the full norm
         state._grow(1)
         state._c = 1.0
         state._Wf[0, 0] = eta
-        state._Pf[0, 0] = eta * s_y
         state._norm_sq = eta * eta * s_x * s_y
         state.gram_x.append(x, np.zeros(0), s_x)
         state.gram_y.append(y, np.zeros(0), s_y)
@@ -421,12 +448,11 @@ def step(state: LearnerState, cfg: LearnerConfig, sample) -> LearnerState:
     c = state._c
     k_x = state.gram_x.kernel_vector(x)
     k_y = state.gram_y.kernel_vector(y)
-    s_x = eval_kernel(cfg.kernel_x, x, x)
-    s_y = eval_kernel(cfg.kernel_y, y, y)
-    W, P = state._views()
+    s_x = self_kernel(cfg.kernel_x, x)
+    s_y = self_kernel(cfg.kernel_y, y)
 
-    wk = W @ k_x            # factored units
-    pk = P @ k_x
+    wk = state._apply(k_x)  # factored units
+    pk = state.gram_y.G @ wk
     r = k_y - c * pk        # absolute: g-coefficients on the old y-atoms
     rwk = float(c * (r @ wk))
     kwk = float(c * (k_y @ wk))
@@ -463,13 +489,13 @@ def step(state: LearnerState, cfg: LearnerConfig, sample) -> LearnerState:
         reject = np.sqrt(delta) <= eps
 
     if not reject:
-        _admit(state, x, y, k_x, k_y, s_x, s_y, eta, a, norm_tilde_sq, wk, pk, kwk)
+        _admit(state, x, y, k_x, k_y, s_x, s_y, eta, a, norm_tilde_sq, wk)
     elif contained:
         # exact fold: the new atom coincides with product atom (q_idx, p_idx)
         c_new = a * c
-        W[:, p_idx] += (-eta / a) * wk
+        W = state._Wf
+        W[:d, p_idx] += (-eta / a) * wk
         W[q_idx, p_idx] += eta / c_new
-        P[:, p_idx] += (eta / c_new) * r
         state._c = c_new
         state._norm_sq = norm_tilde_sq
     else:
@@ -477,12 +503,11 @@ def step(state: LearnerState, cfg: LearnerConfig, sample) -> LearnerState:
         c_new = a * c
         g = state.gram_y.G @ u_y
         h = state.gram_x.G @ u_x
-        wh = W @ h
+        wh = state._apply(h)
         state._norm_sq = a * a * state._norm_sq \
             + 2.0 * a * eta * float(c * (g @ wh)) \
             + eta * eta * float((u_y @ g) * (u_x @ h))
-        W += (eta / c_new) * np.outer(u_y, u_x)
-        P += (eta / c_new) * np.outer(g, u_x)
+        state._push((eta / c_new) * u_y, u_x)
         state._c = c_new
 
     state.t = t
@@ -496,9 +521,9 @@ def _step_direct(state: LearnerState, cfg: LearnerConfig, x, y, t, eta, eps, lam
     d = state.dict_size
     k_x = state.gram_x.kernel_vector(x)
     k_y = state.gram_y.kernel_vector(y)
-    s_x = eval_kernel(cfg.kernel_x, x, x)
-    s_y = eval_kernel(cfg.kernel_y, y, y)
-    W = state._c * state._Wf[:d, :d]
+    s_x = self_kernel(cfg.kernel_x, x)
+    s_y = self_kernel(cfg.kernel_y, y)
+    W = state.coefficients
     Wt = sgd_expand(W, k_x, eta, lam)
     GX, GY = state.gram_x.G, state.gram_y.G
     Gxb = np.empty((d + 1, d + 1))

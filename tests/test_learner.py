@@ -260,6 +260,41 @@ def on_state_grid(rep, states):
                        kernel_x=rep.kernel_x, kernel_y=rep.kernel_y)
 
 
+def textbook_compressed_run(kernel, lam, eta, eps, samples):
+    """Independent slow implementation of the compressed learner: rebuild
+    every Gram from scratch and use the module-level expansion, test and
+    projection operations.  Returns the accept decisions and the operator."""
+    xs_ref: list = []
+    ys_ref: list = []
+    W_ref = np.zeros((0, 0))
+    decisions = []
+    for (x, y) in samples:
+        d = len(xs_ref)
+        if d == 0:
+            xs_ref.append(np.asarray(x)); ys_ref.append(np.asarray(y))
+            W_ref = np.array([[eta]])
+            decisions.append(True)
+            continue
+        xs_old = np.array(xs_ref); ys_old = np.array(ys_ref)
+        kx = np.array([eval_kernel(kernel, xj, x) for xj in xs_old])
+        Wt = sgd_expand(W_ref, kx, eta, lam)
+        xs_t = np.vstack([xs_old, x]); ys_t = np.vstack([ys_old, y])
+        Gxb = gram_matrix(kernel, xs_t); Gyb = gram_matrix(kernel, ys_t)
+        Gxi = np.linalg.inv(Gxb[:d, :d])
+        Gyi = np.linalg.inv(Gyb[:d, :d])
+        delta = compression_delta(Wt, Gxb, Gyb, Gxb[:, :d], Gyb[:, :d], Gxi, Gyi)
+        if np.sqrt(delta) <= eps:
+            W_ref = project_coefficients(Wt, Gyi, Gyb[:, :d], Gxb[:, :d], Gxi)
+            decisions.append(False)
+        else:
+            xs_ref.append(np.asarray(x)); ys_ref.append(np.asarray(y))
+            W_ref = Wt
+            decisions.append(True)
+    ref = OperatorRep(dict=Dictionary(np.array(xs_ref), np.array(ys_ref)),
+                      W=W_ref, kernel_x=kernel, kernel_y=kernel)
+    return decisions, ref
+
+
 class TestEquivalenceWithDirectImplementation:
     def test_uncompressed_matches_naive_recursion(self, gauss03, rng):
         cfg = make_cfg(gauss03, jitter_scale=0.0)
@@ -278,47 +313,39 @@ class TestEquivalenceWithDirectImplementation:
         assert hs_distance(state.rep, ref) <= 1e-10
 
     def test_compressed_run_matches_textbook_loop(self, gauss05, rng):
-        # independent slow implementation: rebuild every Gram from scratch and
-        # use the module-level expansion/test/projection operations
-        kernel = gauss05
         lam, eta, eps = 0.1, 0.2, 0.05
-        cfg = make_cfg(kernel, lam=lam, eta=eta, budget=ConstantBudget(eps),
+        cfg = make_cfg(gauss05, lam=lam, eta=eta, budget=ConstantBudget(eps),
                        jitter_scale=0.0)
         samples = [(rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)) for _ in range(60)]
-
-        xs_ref: list = []
-        ys_ref: list = []
-        W_ref = np.zeros((0, 0))
-        decisions = []
-        for (x, y) in samples:
-            d = len(xs_ref)
-            if d == 0:
-                xs_ref.append(np.asarray(x)); ys_ref.append(np.asarray(y))
-                W_ref = np.array([[eta]])
-                decisions.append(True)
-                continue
-            xs_old = np.array(xs_ref); ys_old = np.array(ys_ref)
-            kx = np.array([eval_kernel(kernel, xj, x) for xj in xs_old])
-            Wt = sgd_expand(W_ref, kx, eta, lam)
-            xs_t = np.vstack([xs_old, x]); ys_t = np.vstack([ys_old, y])
-            Gxb = gram_matrix(kernel, xs_t); Gyb = gram_matrix(kernel, ys_t)
-            Gxi = np.linalg.inv(Gxb[:d, :d])
-            Gyi = np.linalg.inv(Gyb[:d, :d])
-            delta = compression_delta(Wt, Gxb, Gyb, Gxb[:, :d], Gyb[:, :d], Gxi, Gyi)
-            if np.sqrt(delta) <= eps:
-                W_ref = project_coefficients(Wt, Gyi, Gyb[:, :d], Gxb[:, :d], Gxi)
-                decisions.append(False)
-            else:
-                xs_ref.append(np.asarray(x)); ys_ref.append(np.asarray(y))
-                W_ref = Wt
-                decisions.append(True)
-
+        decisions, ref = textbook_compressed_run(gauss05, lam, eta, eps, samples)
         state, _ = run_stream(cfg, samples)
         assert [r.accepted for r in state.stats] == decisions
-        ref = OperatorRep(dict=Dictionary(np.array(xs_ref), np.array(ys_ref)),
-                          W=W_ref, kernel_x=kernel, kernel_y=kernel)
-        assert state.dict_size == len(xs_ref)
+        assert state.dict_size == len(ref)
         assert hs_distance(state.rep, ref) <= 1e-7
+
+    @pytest.mark.parametrize("lam, eta, eps, snapshot_every", [
+        (0.1, 0.2, 0.05, None),   # projected runs far longer than one block
+        (1.0, 0.9, 0.3, None),    # decay 0.1: the scalar factor renormalizes
+        (1.0, 0.9, 0.3, 37),      # ... and snapshots flush at odd points
+    ])
+    def test_compressed_run_matches_textbook_loop_across_flushes(
+            self, gauss05, rng, lam, eta, eps, snapshot_every):
+        # the learner defers projected rank-one updates into a pending block;
+        # long projected runs, renormalizations of the scalar factor and
+        # admissions all meet a non-empty block here
+        cfg = make_cfg(gauss05, lam=lam, eta=eta, budget=ConstantBudget(eps),
+                       jitter_scale=0.0)
+        samples = [(rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)) for _ in range(400)]
+        decisions, ref = textbook_compressed_run(gauss05, lam, eta, eps, samples)
+        state = new_state(cfg)
+        for i, sample in enumerate(samples, start=1):
+            step(state, cfg, sample)
+            if snapshot_every and i % snapshot_every == 0:
+                state.snapshot_rep()
+        assert [r.accepted for r in state.stats] == decisions
+        assert state.dict_size == len(ref)
+        assert hs_distance(state.rep, ref) <= 1e-7
+        assert state.hs_norm == pytest.approx(hs_norm(state.rep), rel=1e-9)
 
     def test_finite_chain_exact_folds_match_naive(self, gauss05):
         # a 3-state chain repeats its pairs, so after the first few steps the
