@@ -1,7 +1,9 @@
 """Experiment configuration: JSON schema, validation, and builders.
 
-A single JSON document drives the CLI.  The schema below is normative;
-unknown keys are rejected so typos fail loudly before any computation.
+A single JSON document drives the CLI.  The schema below is normative and
+the only validation: unknown keys, and keys missing for the chosen kind, are
+rejected so typos fail loudly before any computation.  The builders expect
+a validated document.
 """
 
 from __future__ import annotations
@@ -20,10 +22,23 @@ from .kernels import Kernel
 from .learner import (ConstantBudget, ConstantStep, CubicBudget, LearnerConfig,
                       PolynomialStep, QuadraticBudget, ZeroBudget)
 
+
+def _per_kind(key: str, rules: dict) -> dict:
+    """Schema clauses that apply ``rules[kind]`` when ``key`` equals ``kind``."""
+    return {"allOf": [{"if": {"required": [key], "properties": {key: {"const": k}}},
+                       "then": then} for k, then in rules.items()]}
+
+
+def _source_keys(required: list, optional: list) -> dict:
+    return {"required": required,
+            "propertyNames": {"enum": ["kind"] + required + optional}}
+
+
 _KERNEL_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
     "required": ["family"],
+    **_per_kind("family", {"gaussian": {"required": ["bandwidth"]}}),
     "properties": {
         "family": {"enum": ["gaussian", "linear"]},
         "bandwidth": {"type": "number", "exclusiveMinimum": 0},
@@ -62,6 +77,8 @@ CONFIG_SCHEMA = {
                     "type": "object",
                     "additionalProperties": False,
                     "required": ["kind"],
+                    **_per_kind("kind", {"constant": {"required": ["eta"]},
+                                         "polynomial": {"required": ["eta0"]}}),
                     "properties": {
                         "kind": {"enum": ["constant", "polynomial"]},
                         "eta": {"type": "number", "exclusiveMinimum": 0},
@@ -74,6 +91,9 @@ CONFIG_SCHEMA = {
                     "type": "object",
                     "additionalProperties": False,
                     "required": ["kind"],
+                    **_per_kind("kind", {"constant": {"required": ["eps"]},
+                                         "quadratic": {"required": ["b_cmp"]},
+                                         "cubic": {"required": ["b_cmp"]}}),
                     "properties": {
                         "kind": {"enum": ["zero", "constant", "quadratic", "cubic"]},
                         "eps": {"type": "number", "minimum": 0},
@@ -94,6 +114,14 @@ CONFIG_SCHEMA = {
                     "type": "object",
                     "additionalProperties": False,
                     "required": ["kind"],
+                    **_per_kind("kind", {
+                        "duffing": _source_keys(["n_traj", "steps_per_traj"],
+                                                ["seed", "init_box", "params"]),
+                        "finite_chain": _source_keys(["model_path", "n_samples"],
+                                                     ["burn_in", "seed"]),
+                        "finite_iid": _source_keys(["model_path", "n_samples"], ["seed"]),
+                        "csv": _source_keys(["path", "dim_x", "dim_y"], []),
+                    }),
                     "properties": {
                         "kind": {"enum": ["duffing", "finite_chain", "finite_iid", "csv"]},
                         "n_traj": {"type": "integer", "minimum": 1},
@@ -148,14 +176,6 @@ CONFIG_SCHEMA = {
     },
 }
 
-_SOURCE_KEYS = {
-    "duffing": {"kind", "n_traj", "steps_per_traj", "seed", "init_box", "params"},
-    "finite_chain": {"kind", "model_path", "n_samples", "burn_in", "seed"},
-    "finite_iid": {"kind", "model_path", "n_samples", "seed"},
-    "csv": {"kind", "path", "dim_x", "dim_y"},
-}
-
-
 def validate_config(data: dict):
     import jsonschema
 
@@ -165,13 +185,6 @@ def validate_config(data: dict):
         err = jsonschema.exceptions.best_match(errors)
         where = err.json_path if err.json_path != "$" else "config root"
         raise ConfigError(f"invalid config at {where}: {err.message}")
-    src = data["stream"]["source"]
-    allowed = _SOURCE_KEYS[src["kind"]]
-    extra = set(src) - allowed
-    if extra:
-        raise ConfigError(
-            f"invalid config at $.stream.source: keys {sorted(extra)} do not "
-            f"apply to source kind {src['kind']!r}")
 
 
 def load_config(path) -> dict:
@@ -186,8 +199,6 @@ def load_config(path) -> dict:
 
 def build_kernel(d: dict) -> Kernel:
     if d["family"] == "gaussian":
-        if "bandwidth" not in d:
-            raise ConfigError("invalid config at $.kernel: gaussian needs 'bandwidth'")
         return Kernel.gaussian(d["bandwidth"])
     return Kernel.linear(d.get("bound", 1.0))
 
@@ -198,28 +209,18 @@ def build_learner_config(data: dict, budget_squared: Optional[bool] = None) -> L
     lrn = data["learner"]
     step = lrn["step"]
     if step["kind"] == "constant":
-        if "eta" not in step:
-            raise ConfigError("invalid config at $.learner.step: constant needs 'eta'")
         sched = ConstantStep(eta=step["eta"])
     else:
-        if "eta0" not in step:
-            raise ConfigError("invalid config at $.learner.step: polynomial needs 'eta0'")
         sched = PolynomialStep(eta0=step["eta0"], t0=step.get("t0", 1.0),
                                p=step.get("p", 1.0))
     bud = lrn["budget"]
     if bud["kind"] == "zero":
         budget = ZeroBudget()
     elif bud["kind"] == "constant":
-        if "eps" not in bud:
-            raise ConfigError("invalid config at $.learner.budget: constant needs 'eps'")
         budget = ConstantBudget(eps=bud["eps"])
     elif bud["kind"] == "quadratic":
-        if "b_cmp" not in bud:
-            raise ConfigError("invalid config at $.learner.budget: quadratic needs 'b_cmp'")
         budget = QuadraticBudget(b_cmp=bud["b_cmp"])
     else:
-        if "b_cmp" not in bud:
-            raise ConfigError("invalid config at $.learner.budget: cubic needs 'b_cmp'")
         budget = CubicBudget(b_cmp=bud["b_cmp"])
     squared = lrn.get("budget_squared", False) if budget_squared is None else budget_squared
     return LearnerConfig(
@@ -255,18 +256,12 @@ def build_stream(data: dict, base_dir: str = ".", seed: Optional[int] = None):
     interleave = section.get("interleave", "sequential")
     kind = src["kind"]
     if kind == "csv":
-        for key in ("path", "dim_x", "dim_y"):
-            if key not in src:
-                raise ConfigError(f"invalid config at $.stream.source: csv needs {key!r}")
         return read_stream_csv(os.path.join(base_dir, src["path"]),
                                src["dim_x"], src["dim_y"])
     use_seed = seed if seed is not None else src.get("seed")
     if use_seed is None:
         raise ConfigError("invalid config at $.stream.source.seed: a seed is required")
     if kind == "duffing":
-        for key in ("n_traj", "steps_per_traj"):
-            if key not in src:
-                raise ConfigError(f"invalid config at $.stream.source: duffing needs {key!r}")
         params = DuffingParams(**src.get("params", {}))
         source = DuffingTrajectories(
             n_traj=src["n_traj"], steps_per_traj=src["steps_per_traj"],
@@ -274,9 +269,6 @@ def build_stream(data: dict, base_dir: str = ".", seed: Optional[int] = None):
             init_box=tuple(tuple(b) for b in src.get("init_box", [[-2, 2], [-2, 2]])),
             params=params)
     else:
-        if "model_path" not in src or "n_samples" not in src:
-            raise ConfigError(
-                f"invalid config at $.stream.source: {kind} needs 'model_path' and 'n_samples'")
         model = FiniteSpaceModel.load(os.path.join(base_dir, src["model_path"]))
         if kind == "finite_chain":
             source = FiniteChainStream(model=model, n_samples=src["n_samples"],

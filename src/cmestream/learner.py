@@ -10,16 +10,23 @@ The gradient step has the structure ``U~ = a U + eta g (x) phi_X(x)`` with
 ``a = 1 - lambda*eta`` and ``g = k_Y(y,.) - U phi_X(x)``, so the projection
 test only ever concerns the rank-one correction: its residual and optimal
 coefficients come from two linear solves against the cached Gram inverses.
+Every step takes this one path: the first sample is the general step on the
+empty dictionary (residual = full norm, always admitted), and an exact fold
+(the sample repeats a product atom) is the projected update with known
+factors.
+
 The coefficient matrix is held factored as ``W = c * (Wf + U V^T)``: a
 scalar factor ``c`` absorbs the per-step decay ``a``, and the rank-one
-updates of projected steps collect as columns of a pending low-rank block
-``U V^T`` (at most ``_BLOCK`` columns) that is added into ``Wf`` with one
-matrix product when it fills or before ``Wf`` is read whole or restructured.
-Products with ``W`` apply the block as two thin mat-vecs, and ``G_Y W k_x``
-is one mat-vec against the Y Gram, so every step stays O(d^2) and none
-rewrites a d x d matrix element by element.  This is an implementation
-detail: the produced operators match the plain coefficient recursion to
-machine precision (covered by the equivalence tests).
+updates of projected and folded steps collect as columns of a pending
+low-rank block ``U V^T`` (at most ``_BLOCK`` columns) that is added into
+``Wf`` with one matrix product when it fills or before ``Wf`` is read whole
+or restructured.  When ``c`` would fall below ``_MIN_FACTOR`` it is folded
+into ``Wf``, which also makes total decay (``a = 0``) exact.  Products with
+``W`` apply the block as two thin mat-vecs, and ``G_Y W k_x`` is one mat-vec
+against the Y Gram, so every step stays O(d^2) and none rewrites a d x d
+matrix element by element.  This is an implementation detail: the produced
+operators match the plain coefficient recursion to machine precision
+(covered by the equivalence tests).
 """
 
 from __future__ import annotations
@@ -33,8 +40,7 @@ from .errors import CapacityError, ConfigError, InputError, NumericalError
 from .kernels import DEFAULT_JITTER_SCALE, GramCache, Kernel, self_kernel
 from .operator import Dictionary, OperatorRep, zero_rep
 
-_MIN_FACTOR = 1e-100       # renormalize the scalar factor below this
-_SLOW_DECAY = 1e-12        # a below this: take the direct (unfactored) path
+_MIN_FACTOR = 1e-100       # fold the scalar factor into Wf below this
 _DELTA_CLAMP_RTOL = 1e-9
 _BLOCK = 32                # columns of the pending low-rank block U V^T
 
@@ -161,8 +167,8 @@ class StepRecord(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# Gram-form primitives (module-level operations used directly by tests and
-# by the learner's direct path; the hot path uses the factored equivalents)
+# Gram-form primitives (reference operations on explicit coefficient and
+# Gram matrices; the learner uses their factored equivalents)
 # ---------------------------------------------------------------------------
 
 def sgd_expand(W, k_x_new, eta: float, lam: float) -> np.ndarray:
@@ -259,9 +265,9 @@ class LearnerState:
         self.gram_y = GramCache(cfg.kernel_y, cfg.jitter_scale)
         self.stats: list[StepRecord] = []
         self._c = 1.0               # scalar factor: W = c * (Wf + U V^T)
-        self._Wf: Optional[np.ndarray] = None   # capacity buffer
-        self._Ut: Optional[np.ndarray] = None   # U^T, _BLOCK x capacity
-        self._Vt: Optional[np.ndarray] = None   # V^T, _BLOCK x capacity
+        self._Wf = np.empty((0, 0))         # capacity buffer
+        self._Ut = np.empty((_BLOCK, 0))    # U^T, _BLOCK x capacity
+        self._Vt = np.empty((_BLOCK, 0))    # V^T, _BLOCK x capacity
         self._m = 0                 # pending columns of U and V
         self._norm_sq = 0.0         # |U_t|_HS^2, tracked incrementally
 
@@ -275,8 +281,6 @@ class LearnerState:
     def coefficients(self) -> np.ndarray:
         """Current coefficient matrix W (materialized copy)."""
         d = self.dict_size
-        if d == 0:
-            return np.zeros((0, 0))
         self._flush()
         return self._c * self._Wf[:d, :d]
 
@@ -302,7 +306,7 @@ class LearnerState:
     # -- internal helpers ----------------------------------------------------
 
     def _grow(self, need: int):
-        cap = 0 if self._Wf is None else self._Wf.shape[0]
+        cap = self._Wf.shape[0]
         if need <= cap:
             return
         new_cap = max(16, cap)
@@ -311,8 +315,7 @@ class LearnerState:
         self._flush()
         d = self.dict_size
         buf = np.empty((new_cap, new_cap))
-        if d:
-            buf[:d, :d] = self._Wf[:d, :d]
+        buf[:d, :d] = self._Wf[:d, :d]
         self._Wf = buf
         self._Ut = np.empty((_BLOCK, new_cap))
         self._Vt = np.empty((_BLOCK, new_cap))
@@ -343,23 +346,25 @@ class LearnerState:
             out += self._Ut[:m, :d].T @ (self._Vt[:m, :d] @ v)
         return out
 
-    def _renormalize(self):
-        if self._c >= _MIN_FACTOR:
-            return
-        self._flush()
-        d = self.dict_size
-        self._Wf[:d, :d] *= self._c
-        self._c = 1.0
+    def _decay(self, a: float):
+        """``W <- a W`` by scaling ``c``.  Below ``_MIN_FACTOR`` (so also at
+        ``a = 0``), and on an empty dictionary where there is nothing to
+        scale, the factor is folded into ``Wf`` and ``c`` restarts at 1."""
+        c = a * self._c
+        if c < _MIN_FACTOR or not self.dict_size:
+            self._flush()
+            d = self.dict_size
+            self._Wf[:d, :d] *= c
+            c = 1.0
+        self._c = c
 
-    def _refactor(self, W_new: np.ndarray):
-        """Reset the factored caches from an explicit coefficient matrix."""
-        d = W_new.shape[0]
-        self._grow(d)
-        self._c = 1.0
-        self._Wf[:d, :d] = W_new
-        P = self.gram_y.G[:d, :d] @ W_new
-        Q = W_new @ self.gram_x.G[:d, :d]
-        self._norm_sq = float(np.sum(P * Q))
+    def _update(self, a: float, eta: float, u_y: np.ndarray, u_x: np.ndarray,
+                norm_sq: float):
+        """``W <- a W + eta u_y u_x^T`` over the current dictionary, with
+        ``norm_sq`` the resulting ``|U|_HS^2``."""
+        self._decay(a)
+        self._push((eta / self._c) * u_y, u_x)
+        self._norm_sq = norm_sq
 
 
 def new_state(cfg: LearnerConfig) -> LearnerState:
@@ -397,14 +402,15 @@ def _admit(state: LearnerState, x, y, k_x, k_y, s_x, s_y, eta, a,
             f"dictionary limit {cfg.max_dictionary} exceeded at step {state.t + 1}",
             state=state,
         )
-    c_new = a * state._c
+    c = state._c
+    state._decay(a)
+    c_new = state._c
     state._flush()
     state._grow(d + 1)
     W = state._Wf
-    W[:d, d] = (-eta / a) * wk
+    W[:d, d] = (-eta * c / c_new) * wk
     W[d, :d] = 0.0
     W[d, d] = eta / c_new
-    state._c = c_new
     state._norm_sq = norm_tilde_sq
     state.gram_x.append(x, k_x, s_x)
     state.gram_y.append(y, k_y, s_y)
@@ -422,29 +428,9 @@ def step(state: LearnerState, cfg: LearnerConfig, sample) -> LearnerState:
     t = state.t + 1
     eta = cfg.eta_at(t)
     eps = cfg.eps_at(t, eta)
-    lam = cfg.lam
-    a = 1.0 - lam * eta
+    a = 1.0 - cfg.lam * eta
     d = state.dict_size
 
-    if d == 0:
-        # first sample always starts the dictionary
-        s_x = self_kernel(cfg.kernel_x, x)
-        s_y = self_kernel(cfg.kernel_y, y)
-        delta = eta * eta * s_x * s_y      # empty span: residual is the full norm
-        state._grow(1)
-        state._c = 1.0
-        state._Wf[0, 0] = eta
-        state._norm_sq = eta * eta * s_x * s_y
-        state.gram_x.append(x, np.zeros(0), s_x)
-        state.gram_y.append(y, np.zeros(0), s_y)
-        state.t = t
-        state.stats.append(StepRecord(t, True, delta, eps, eta, 1, state.hs_norm))
-        return state
-
-    if a < _SLOW_DECAY:
-        return _step_direct(state, cfg, x, y, t, eta, eps, lam)
-
-    state._renormalize()
     c = state._c
     k_x = state.gram_x.kernel_vector(x)
     k_y = state.gram_y.kernel_vector(y)
@@ -464,9 +450,11 @@ def step(state: LearnerState, cfg: LearnerConfig, sample) -> LearnerState:
     q_idx = _find_atom(state.gram_y.points, y) if p_idx is not None else None
     contained = p_idx is not None and q_idx is not None
 
-    delta = np.nan
     u_y = u_x = None
-    if contained:
+    if d == 0:
+        # empty span: the residual is the full norm and the sample is admitted
+        delta = norm_tilde_sq
+    elif contained:
         # the rank-one update lies exactly in the dictionary's product span
         delta = 0.0
     elif isinstance(cfg.budget_schedule, ZeroBudget) or eps == 0.0:
@@ -481,7 +469,7 @@ def step(state: LearnerState, cfg: LearnerConfig, sample) -> LearnerState:
         # Gram inverses can push the roundoff below the strict clamp band
         delta = eta * eta * max(0.0, s_x * gg - fit)
 
-    if np.isnan(delta):
+    if d == 0 or np.isnan(delta):
         reject = False
     elif cfg.budget_squared:
         reject = delta < eps
@@ -491,87 +479,21 @@ def step(state: LearnerState, cfg: LearnerConfig, sample) -> LearnerState:
     if not reject:
         _admit(state, x, y, k_x, k_y, s_x, s_y, eta, a, norm_tilde_sq, wk)
     elif contained:
-        # exact fold: the new atom coincides with product atom (q_idx, p_idx)
-        c_new = a * c
-        W = state._Wf
-        W[:d, p_idx] += (-eta / a) * wk
-        W[q_idx, p_idx] += eta / c_new
-        state._c = c_new
-        state._norm_sq = norm_tilde_sq
+        # exact fold into product atom (q_idx, p_idx): u_y = e_q - W k_x, u_x = e_p
+        u_y = -c * wk
+        u_y[q_idx] += 1.0
+        u_x = np.zeros(d)
+        u_x[p_idx] = 1.0
+        state._update(a, eta, u_y, u_x, norm_tilde_sq)
     else:
         # projected update: W <- a W + eta u_y u_x^T
-        c_new = a * c
         g = state.gram_y.G @ u_y
         h = state.gram_x.G @ u_x
         wh = state._apply(h)
-        state._norm_sq = a * a * state._norm_sq \
-            + 2.0 * a * eta * float(c * (g @ wh)) \
-            + eta * eta * float((u_y @ g) * (u_x @ h))
-        state._push((eta / c_new) * u_y, u_x)
-        state._c = c_new
+        state._update(a, eta, u_y, u_x, a * a * state._norm_sq
+                      + 2.0 * a * eta * float(c * (g @ wh))
+                      + eta * eta * float((u_y @ g) * (u_x @ h)))
 
-    state.t = t
-    state.stats.append(StepRecord(
-        t, not reject, float(delta), eps, eta, state.dict_size, state.hs_norm))
-    return state
-
-
-def _step_direct(state: LearnerState, cfg: LearnerConfig, x, y, t, eta, eps, lam):
-    """Unfactored fallback for a = 1 - lambda*eta ~ 0 (total decay)."""
-    d = state.dict_size
-    k_x = state.gram_x.kernel_vector(x)
-    k_y = state.gram_y.kernel_vector(y)
-    s_x = self_kernel(cfg.kernel_x, x)
-    s_y = self_kernel(cfg.kernel_y, y)
-    W = state.coefficients
-    Wt = sgd_expand(W, k_x, eta, lam)
-    GX, GY = state.gram_x.G, state.gram_y.G
-    Gxb = np.empty((d + 1, d + 1))
-    Gxb[:d, :d] = GX
-    Gxb[:d, d] = k_x
-    Gxb[d, :d] = k_x
-    Gxb[d, d] = s_x
-    Gyb = np.empty((d + 1, d + 1))
-    Gyb[:d, :d] = GY
-    Gyb[:d, d] = k_y
-    Gyb[d, :d] = k_y
-    Gyb[d, d] = s_y
-
-    p_idx = _find_atom(state.gram_x.points, x)
-    q_idx = _find_atom(state.gram_y.points, y) if p_idx is not None else None
-    contained = p_idx is not None and q_idx is not None
-
-    delta = np.nan
-    Zstar = None
-    if contained:
-        delta = 0.0
-        Zstar = (1.0 - lam * eta) * W
-        Zstar[:, p_idx] += Wt[:d, d]
-        Zstar[q_idx, p_idx] += eta
-    elif eps > 0.0:
-        Gyi = state.gram_y.inverse()
-        Gxi = state.gram_x.inverse()
-        delta = compression_delta(Wt, Gxb, Gyb, Gxb[:, :d], Gyb[:, :d], Gxi, Gyi)
-        Zstar = project_coefficients(Wt, Gyi, Gyb[:, :d], Gxb[:, :d], Gxi)
-
-    if np.isnan(delta):
-        reject = False
-    elif cfg.budget_squared:
-        reject = delta < eps
-    else:
-        reject = np.sqrt(delta) <= eps
-
-    if reject:
-        state._refactor(Zstar)
-    else:
-        if cfg.max_dictionary is not None and d + 1 > cfg.max_dictionary:
-            raise CapacityError(
-                f"dictionary limit {cfg.max_dictionary} exceeded at step {t}",
-                state=state,
-            )
-        state.gram_x.append(x, k_x, s_x)
-        state.gram_y.append(y, k_y, s_y)
-        state._refactor(Wt)
     state.t = t
     state.stats.append(StepRecord(
         t, not reject, float(delta), eps, eta, state.dict_size, state.hs_norm))

@@ -59,6 +59,31 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="model_path"):
             validate_config(cfg)
 
+    @pytest.mark.parametrize("section, value, key", [
+        (("learner", "step"), {"kind": "constant"}, "eta"),
+        (("learner", "step"), {"kind": "polynomial", "t0": 5.0}, "eta0"),
+        (("learner", "budget"), {"kind": "constant"}, "eps"),
+        (("learner", "budget"), {"kind": "quadratic"}, "b_cmp"),
+        (("learner", "budget"), {"kind": "cubic", "eps": 0.1}, "b_cmp"),
+        (("kernel",), {"family": "gaussian"}, "bandwidth"),
+        (("stream", "source"), {"kind": "duffing", "steps_per_traj": 3}, "n_traj"),
+        (("stream", "source"), {"kind": "duffing", "n_traj": 3}, "steps_per_traj"),
+        (("stream", "source"), {"kind": "finite_chain", "n_samples": 9}, "model_path"),
+        (("stream", "source"), {"kind": "finite_iid", "model_path": "m.json"},
+         "n_samples"),
+        (("stream", "source"), {"kind": "csv", "dim_x": 2, "dim_y": 2}, "path"),
+        (("stream", "source"), {"kind": "csv", "path": "s.csv", "dim_y": 2}, "dim_x"),
+        (("stream", "source"), {"kind": "csv", "path": "s.csv", "dim_x": 2}, "dim_y"),
+    ])
+    def test_missing_per_kind_key_named(self, section, value, key):
+        cfg = duffing_config()
+        parent = cfg
+        for name in section[:-1]:
+            parent = parent[name]
+        parent[section[-1]] = value
+        with pytest.raises(ConfigError, match=f"'{key}' is a required property"):
+            validate_config(cfg)
+
     def test_missing_required_section(self):
         cfg = duffing_config()
         del cfg["learner"]

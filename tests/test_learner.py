@@ -187,6 +187,25 @@ class TestStep:
         assert np.array_equal(state.coefficients, [[0.2]])
         rec = state.stats[-1]
         assert rec.accepted and rec.dict_size == 1
+        # the empty span leaves the full norm eta^2 s_x s_y as the residual
+        assert rec.delta == pytest.approx(0.2 ** 2, rel=1e-15)
+        assert rec.hs_norm == pytest.approx(0.2, rel=1e-15)
+        # a budget larger than that residual still starts the dictionary
+        cfg = make_cfg(gauss03, budget=ConstantBudget(1.0))
+        state = new_state(cfg)
+        step(state, cfg, ([0.1, 0.1], [0.2, 0.2]))
+        rec = state.stats[-1]
+        assert rec.accepted and state.dict_size == 1 and np.sqrt(rec.delta) < 1.0
+        # linear kernel, s_x != 1: residual and norm carry the self-similarities
+        cfg = make_cfg(Kernel.linear(5.0))
+        state = new_state(cfg)
+        x, y = np.array([1.0, 2.0]), np.array([0.5, -1.5])
+        step(state, cfg, (x, y))
+        rec = state.stats[-1]
+        expected = 0.2 ** 2 * (x @ x) * (y @ y)
+        assert rec.accepted and rec.delta == pytest.approx(expected, rel=1e-15)
+        assert rec.hs_norm == pytest.approx(np.sqrt(expected), rel=1e-15)
+        assert hs_norm(state.rep) == pytest.approx(np.sqrt(expected), rel=1e-12)
 
     def test_repeated_sample_rejected(self, gauss03):
         cfg = make_cfg(gauss03, budget=ConstantBudget(0.01))
@@ -327,6 +346,7 @@ class TestEquivalenceWithDirectImplementation:
         (0.1, 0.2, 0.05, None),   # projected runs far longer than one block
         (1.0, 0.9, 0.3, None),    # decay 0.1: the scalar factor renormalizes
         (1.0, 0.9, 0.3, 37),      # ... and snapshots flush at odd points
+        (1.0, 1.0, 0.3, None),    # total decay: the factor folds into W each step
     ])
     def test_compressed_run_matches_textbook_loop_across_flushes(
             self, gauss05, rng, lam, eta, eps, snapshot_every):
@@ -347,16 +367,18 @@ class TestEquivalenceWithDirectImplementation:
         assert hs_distance(state.rep, ref) <= 1e-7
         assert state.hs_norm == pytest.approx(hs_norm(state.rep), rel=1e-9)
 
-    def test_finite_chain_exact_folds_match_naive(self, gauss05):
+    @pytest.mark.parametrize("lam, eta", [(0.1, 0.1), (1.0, 1.0)])
+    def test_finite_chain_exact_folds_match_naive(self, gauss05, lam, eta):
         # a 3-state chain repeats its pairs, so after the first few steps the
         # zero-budget learner folds every sample into an existing atom while
         # the literal recursion keeps one atom per sample; both are compared
         # on the state grid, where the general HS expansion's ~1e-8
-        # cancellation error does not arise
+        # cancellation error does not arise; lam * eta = 1 folds under
+        # total decay
         states = np.array([[0.0], [1.0], [2.0]])
         P = 0.5 * np.outer(np.ones(3), [0.5, 0.3, 0.2]) + 0.5 * np.eye(3)
         model = FiniteSpaceModel.from_chain(states, P)
-        cfg = make_cfg(gauss05, lam=0.1, eta=0.1)
+        cfg = make_cfg(gauss05, lam=lam, eta=eta)
         sx, sy = generate_stream(StreamSpec(source=FiniteChainStream(
             model=model, n_samples=300, burn_in=0, seed=0)))
         samples = list(zip(sx, sy))
@@ -367,14 +389,14 @@ class TestEquivalenceWithDirectImplementation:
         assert hs_distance(on_state_grid(state.rep, states),
                            on_state_grid(ref, states)) <= 1e-10
 
-    def test_total_decay_direct_path(self, rng):
-        # eta = 1/lam makes the decay factor exactly zero: the factored
-        # representation falls back to the direct path and must still match
+    def test_total_decay_matches_naive(self, rng):
+        # eta = 1/lam makes the decay factor exactly zero: the scalar factor
+        # folds into W on every step; 40 samples cross the 16-atom capacity
         k = Kernel.gaussian(0.5)
         cfg = LearnerConfig(lam=1.0, step_schedule=ConstantStep(1.0),
                             budget_schedule=ZeroBudget(), jitter_scale=0.0,
                             kernel_x=k, kernel_y=k)
-        samples = [(rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)) for _ in range(10)]
+        samples = [(rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)) for _ in range(40)]
         state, _ = run_stream(cfg, samples)
         ref = naive_uncompressed(samples, cfg)
         assert hs_distance(state.rep, ref) <= 1e-10
