@@ -197,15 +197,9 @@ def load_config(path) -> dict:
     return data
 
 
-def build_kernel(d: dict) -> Kernel:
-    if d["family"] == "gaussian":
-        return Kernel.gaussian(d["bandwidth"])
-    return Kernel.linear(d.get("bound", 1.0))
-
-
 def build_learner_config(data: dict, budget_squared: Optional[bool] = None) -> LearnerConfig:
-    kx = build_kernel(data["kernel"])
-    ky = build_kernel(data.get("kernel_y", data["kernel"]))
+    kx = Kernel.from_dict(data["kernel"])
+    ky = Kernel.from_dict(data.get("kernel_y", data["kernel"]))
     lrn = data["learner"]
     step = lrn["step"]
     if step["kind"] == "constant":

@@ -4,8 +4,8 @@ Everything downstream (operator representations, the online learner, the
 spectral analysis) works purely with finite Gram matrices built here.  The
 module also owns the numerical policy for inverting Gram matrices: a
 multiplicative jitter that escalates until a Cholesky factorization exists
-and the inverse passes a residual check, plus a bordered (Woodbury) update
-so the learner can grow an inverse one dictionary atom at a time.
+and the inverse passes a residual check, and an inverse Cholesky factor
+that the learner grows by one row per dictionary atom.
 """
 
 from __future__ import annotations
@@ -158,28 +158,13 @@ def cross_gram(kernel: Kernel, rows, cols) -> np.ndarray:
     return _pairwise_chunked(kernel, r, c)
 
 
-def _try_inverse(G: np.ndarray, jitter: float):
-    d = G.shape[0]
-    A = G + jitter * np.eye(d)
-    try:
-        np.linalg.cholesky(A)
-    except np.linalg.LinAlgError:
-        return None
-    M = np.linalg.solve(A, np.eye(d))
-    M = 0.5 * (M + M.T)
-    residual = np.linalg.norm(A @ M - np.eye(d)) / np.sqrt(d)
-    if residual > INVERSE_RTOL:
-        return None
-    return M
-
-
-def inverse_with_jitter(G, jitter_scale: float = DEFAULT_JITTER_SCALE):
-    """Invert ``G + jitter*I`` with an escalating multiplicative jitter.
+def _inverse_factor(G, jitter_scale: float):
+    """Lower-triangular ``R`` with ``R (G + jitter*I) R^T = I``.
 
     The jitter starts at ``jitter_scale * trace(G)/d`` and is escalated by
-    factors of 10 (up to ``1e-4 * trace(G)/d``) whenever the factorization
-    fails or the inverse misses the 1e-8 relative residual target.  Returns
-    ``(inverse, jitter_used)``.
+    factors of 10 (up to ``1e-4 * trace(G)/d``) whenever the Cholesky
+    factorization fails or the inverse ``R^T R`` misses the 1e-8 relative
+    residual target.  Returns ``(R, jitter_used)``.
     """
     G = np.asarray(G, dtype=float)
     if G.ndim != 2 or G.shape[0] != G.shape[1]:
@@ -197,10 +182,16 @@ def inverse_with_jitter(G, jitter_scale: float = DEFAULT_JITTER_SCALE):
         unit = 1.0
     cap = MAX_JITTER_SCALE * unit
     jitter = jitter_scale * unit
+    eye = np.eye(d)
     while True:
-        M = _try_inverse(G, jitter)
-        if M is not None:
-            return M, jitter
+        A = G + jitter * eye
+        try:
+            R = np.tril(np.linalg.inv(np.linalg.cholesky(A)))
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            if np.linalg.norm(A @ (R.T @ R) - eye) / np.sqrt(d) <= INVERSE_RTOL:
+                return R, jitter
         nxt = DEFAULT_JITTER_SCALE * unit if jitter == 0.0 else jitter * 10.0
         if nxt > cap * (1.0 + 1e-12) or nxt <= jitter:
             raise NumericalError(
@@ -209,15 +200,25 @@ def inverse_with_jitter(G, jitter_scale: float = DEFAULT_JITTER_SCALE):
         jitter = nxt
 
 
-def woodbury_append(G_inv, new_column, new_diag: float, gram=None) -> np.ndarray:
+def inverse_with_jitter(G, jitter_scale: float = DEFAULT_JITTER_SCALE):
+    """Invert ``G + jitter*I`` with an escalating multiplicative jitter.
+
+    The inverse is ``R^T R`` for the factor of ``_inverse_factor``, so it
+    carries the same escalation and residual check.  Returns
+    ``(inverse, jitter_used)``.
+    """
+    R, jitter = _inverse_factor(G, jitter_scale)
+    return R.T @ R, jitter
+
+
+def woodbury_append(G_inv, new_column, new_diag: float) -> np.ndarray:
     """Inverse of the bordered Gram from the inverse of the current one.
 
     ``G_inv`` inverts the (jittered) d x d Gram, ``new_column`` holds the
     kernel values against the new point and ``new_diag`` the new jittered
-    diagonal entry.  Falls back to a direct factorization of the bordered
-    matrix when the Schur complement degenerates; ``gram`` optionally
-    supplies the jittered d x d matrix for that path, or a callable that
-    builds it on demand (otherwise it is recovered by inverting ``G_inv``).
+    diagonal entry.  Raises ``NumericalError`` when the Schur complement
+    degenerates.  A reference primitive: ``GramCache`` grows an inverse
+    factor instead.
     """
     Gi = np.asarray(G_inv, dtype=float)
     b = np.asarray(new_column, dtype=float).reshape(-1)
@@ -234,36 +235,29 @@ def woodbury_append(G_inv, new_column, new_diag: float, gram=None) -> np.ndarray
 
     u = Gi @ b
     s = new_diag - b @ u
-    if abs(s) >= SCHUR_FALLBACK_RTOL * abs(new_diag) and s > 0:
-        out = np.empty((d + 1, d + 1))
-        out[:d, :d] = Gi + np.outer(u, u) / s
-        out[:d, d] = -u / s
-        out[d, :d] = -u / s
-        out[d, d] = 1.0 / s
-        return out
-
-    if gram is None:
-        A = np.linalg.inv(Gi)
-    else:
-        A = np.asarray(gram() if callable(gram) else gram, dtype=float)
-    bordered = np.empty((d + 1, d + 1))
-    bordered[:d, :d] = A
-    bordered[:d, d] = b
-    bordered[d, :d] = b
-    bordered[d, d] = new_diag
-    M = _try_inverse(bordered, 0.0)
-    if M is None:
+    if not (s > 0 and s >= SCHUR_FALLBACK_RTOL * abs(new_diag)):
         raise NumericalError("degenerate Schur complement; bordered Gram not invertible")
-    return M
+    out = np.empty((d + 1, d + 1))
+    out[:d, :d] = Gi + np.outer(u, u) / s
+    out[:d, d] = -u / s
+    out[d, :d] = -u / s
+    out[d, d] = 1.0 / s
+    return out
 
 
 class GramCache:
-    """Append-only Gram matrix over dictionary points with a lazy inverse.
+    """Append-only Gram matrix over dictionary points with a lazy inverse factor.
 
     The kernel matrix grows one point at a time inside a capacity-doubling
-    buffer.  The jittered inverse is only materialized when first requested
-    and is then maintained through ``woodbury_append``; runs that never need
-    it (pure admission, zero compression budget) never pay for it.
+    buffer.  Its jittered inverse is held as a lower-triangular factor ``R``
+    with ``R (G + jitter*I) R^T = I``, materialized when first needed and
+    then grown by one row per append: with ``l = R k`` and the pivot^2
+    ``s = diag + jitter - l.l`` (the approximate-linear-dependence
+    statistic of KRLS) the new row is ``[-(l^T R)/sqrt(s), 1/sqrt(s)]`` and
+    earlier rows are never rewritten.  Only a degenerate pivot refactors,
+    through the jitter escalation and residual check of the first
+    factorization.  Runs that never solve (pure admission, zero compression
+    budget) never pay for the factor.
 
     Single-writer: appends must come from one thread; reads of published
     views are safe afterwards.
@@ -276,7 +270,8 @@ class GramCache:
         self.size = 0
         self._pts: Optional[np.ndarray] = None
         self._G: Optional[np.ndarray] = None
-        self._Ginv: Optional[np.ndarray] = None
+        # zero above the diagonal: solves are full mat-vecs over [:size, :size]
+        self._R: Optional[np.ndarray] = None
 
     @property
     def points(self) -> np.ndarray:
@@ -311,10 +306,10 @@ class GramCache:
             new_pts[: self.size] = self._pts[: self.size]
             new_G[: self.size, : self.size] = self._G[: self.size, : self.size]
         self._pts, self._G = new_pts, new_G
-        if self._Ginv is not None:
-            new_inv = np.empty((new_cap, new_cap))
-            new_inv[: self.size, : self.size] = self._Ginv[: self.size, : self.size]
-            self._Ginv = new_inv
+        if self._R is not None:
+            new_R = np.zeros((new_cap, new_cap))
+            new_R[: self.size, : self.size] = self._R[: self.size, : self.size]
+            self._R = new_R
 
     def append(self, point, kvec: Optional[np.ndarray] = None, diag: Optional[float] = None):
         """Add a point; ``kvec``/``diag`` may carry precomputed kernel values."""
@@ -333,47 +328,46 @@ class GramCache:
         self._G[:d, d] = kvec
         self._G[d, :d] = kvec
         self._G[d, d] = diag
-        if self._Ginv is not None:
-            self._update_inverse(kvec, diag)
+        if self._R is not None:
+            self._append_row(d, kvec, diag)
         self.size = d + 1
 
-    def _update_inverse(self, kvec: np.ndarray, diag: float):
-        d = self.size
-        Gi = self._Ginv[:d, :d]
-        try:
-            upd = woodbury_append(Gi, kvec, diag + self.jitter,
-                                  gram=lambda: self._G[:d, :d] + self.jitter * np.eye(d))
-        except NumericalError:
-            upd = None
-        if upd is None:
-            # duplicate-heavy dictionary: rebuild at (possibly escalated) jitter
-            full = self._G[: d + 1, : d + 1].copy()
-            full[d, d] = diag
-            upd, self.jitter = inverse_with_jitter(full, self.jitter_scale)
-        self._Ginv[: d + 1, : d + 1] = upd
+    def _append_row(self, d: int, kvec: np.ndarray, diag: float):
+        R = self._R[:d, :d]
+        l = R @ kvec
+        s = diag + self.jitter - l @ l
+        if s <= SCHUR_FALLBACK_RTOL * (diag + self.jitter):
+            self._factor(d + 1)     # degenerate pivot: refactor, escalating jitter
+            return
+        root = np.sqrt(s)
+        self._R[d, :d] = (l @ R) / -root
+        self._R[d, d] = 1.0 / root
 
-    def inverse(self) -> np.ndarray:
-        """Jittered inverse of the current Gram, materialized on first use."""
+    def _factor(self, n: int):
+        """Factor the leading n x n Gram from scratch into the R buffer."""
+        R, self.jitter = _inverse_factor(self._G[:n, :n], self.jitter_scale)
+        if self._R is None:
+            self._R = np.zeros_like(self._G)
+        self._R[:n, :n] = R
+
+    def _factor_view(self) -> np.ndarray:
+        """``R`` over the current Gram, factored on first use."""
         if self.size == 0:
             return np.zeros((0, 0))
-        if self._Ginv is None:
-            M, self.jitter = inverse_with_jitter(self.G, self.jitter_scale)
-            cap = self._G.shape[0]
-            self._Ginv = np.empty((cap, cap))
-            self._Ginv[: self.size, : self.size] = M
-        return self._Ginv[: self.size, : self.size]
+        if self._R is None:
+            self._factor(self.size)
+        return self._R[: self.size, : self.size]
+
+    def solve(self, v) -> np.ndarray:
+        """``(G + jitter*I)^{-1} v`` as ``R^T (R v)``."""
+        R = self._factor_view()
+        return (R @ v) @ R
+
+    def inverse(self) -> np.ndarray:
+        """Jittered inverse ``R^T R`` of the current Gram (a new matrix)."""
+        R = self._factor_view()
+        return R.T @ R
 
     @property
     def has_inverse(self) -> bool:
-        return self._Ginv is not None
-
-    def copy(self) -> "GramCache":
-        out = GramCache(self.kernel, self.jitter_scale)
-        out.jitter = self.jitter
-        out.size = self.size
-        if self._pts is not None:
-            out._pts = self._pts[: self.size].copy()
-            out._G = self._G[: self.size, : self.size].copy()
-        if self._Ginv is not None:
-            out._Ginv = self._Ginv[: self.size, : self.size].copy()
-        return out
+        return self._R is not None

@@ -9,7 +9,7 @@ dictionary atom.
 The gradient step has the structure ``U~ = a U + eta g (x) phi_X(x)`` with
 ``a = 1 - lambda*eta`` and ``g = k_Y(y,.) - U phi_X(x)``, so the projection
 test only ever concerns the rank-one correction: its residual and optimal
-coefficients come from two linear solves against the cached Gram inverses.
+coefficients come from two solves against the cached inverse Gram factors.
 Every step takes this one path: the first sample is the general step on the
 empty dictionary (residual = full norm, always admitted), and an exact fold
 (the sample repeats a product atom) is the projected update with known
@@ -460,14 +460,10 @@ def step(state: LearnerState, cfg: LearnerConfig, sample) -> LearnerState:
     elif isinstance(cfg.budget_schedule, ZeroBudget) or eps == 0.0:
         delta = np.nan                      # zero budget admits; skip the test
     else:
-        Gyi = state.gram_y.inverse()
-        Gxi = state.gram_x.inverse()
-        u_y = Gyi @ r
-        u_x = Gxi @ k_x
+        u_y = state.gram_y.solve(r)
+        u_x = state.gram_x.solve(k_x)
         fit = float((u_y @ r) * (k_x @ u_x))
-        # projection residual, nonnegative by construction; ill-conditioned
-        # Gram inverses can push the roundoff below the strict clamp band
-        delta = eta * eta * max(0.0, s_x * gg - fit)
+        delta = eta * eta * _clamped_delta(s_x * gg - fit, s_x * gg + fit)
 
     if d == 0 or np.isnan(delta):
         reject = False

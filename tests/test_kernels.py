@@ -160,7 +160,7 @@ class TestWoodburyAppend:
         G = np.array([[1.0]])
         inv = np.linalg.inv(G)
         with pytest.raises(NumericalError):
-            woodbury_append(inv, [1.0], 1.0, gram=G)
+            woodbury_append(inv, [1.0], 1.0)
 
     def test_from_empty(self):
         out = woodbury_append(np.zeros((0, 0)), [], 2.0)
@@ -198,6 +198,17 @@ class TestGramCache:
         cache.append([1.0, 1.0])
         inv = cache.inverse()
         assert np.all(np.isfinite(inv))
+
+    def test_degenerate_pivot_refactors_at_escalated_jitter(self, gauss05):
+        cache = GramCache(gauss05, jitter_scale=0.0)
+        cache.append([0.0, 0.0])
+        cache.inverse()
+        assert cache.jitter == 0.0
+        cache.append([0.0, 0.0])    # pivot^2 is exactly 0 at zero jitter
+        assert cache.jitter > 0.0
+        A = cache.G + cache.jitter * np.eye(2)
+        assert np.linalg.norm(A @ cache.inverse() - np.eye(2)) / np.sqrt(2) <= 1e-8
+        assert np.allclose(cache.solve(np.ones(2)), cache.inverse() @ np.ones(2))
 
     def test_composed_woodbury_property(self, gauss05, rng):
         # bordered updates composed n times equal the direct inverse, n <= 50

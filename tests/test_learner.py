@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cmestream import (CapacityError, ConfigError, ConstantBudget, ConstantStep,
-                       CubicBudget, Dictionary, FiniteChainStream,
+                       CubicBudget, Dictionary, DuffingTrajectories, FiniteChainStream,
                        FiniteSpaceModel, InputError, Kernel, LearnerConfig,
                        OperatorRep, PolynomialStep, QuadraticBudget, StreamSpec,
                        ZeroBudget, compression_delta, eval_kernel,
@@ -495,3 +495,58 @@ class TestLearnerInvariants:
             step(s2, cfg2, pair)
             if same_dict and not s1.stats[-1].accepted:
                 assert not s2.stats[-1].accepted
+
+
+def duffing_state(seed, budget):
+    """The README Duffing learner (bandwidth 0.3, lambda 1.2e-3, eta 0.2)."""
+    kernel = Kernel.gaussian(0.3)
+    xs, ys = generate_stream(StreamSpec(source=DuffingTrajectories(
+        n_traj=355, steps_per_traj=10, seed=seed)))
+    cfg = LearnerConfig(lam=1.2e-3, step_schedule=ConstantStep(0.2),
+                        budget_schedule=budget, kernel_x=kernel, kernel_y=kernel)
+    return run_stream(cfg, zip(xs, ys))[0]
+
+
+def near_duplicate_every(rng, n):
+    # every x lies 1e-9 from the previous one
+    xs = np.array([0.3, -0.2]) + 1e-9 * np.arange(n)[:, None] * np.array([1.0, 0.0])
+    return xs, rng.uniform(-1, 1, (n, 2))
+
+
+def near_duplicate_alternate(rng, n):
+    # every other x lies 1e-9 from the x before it
+    xs = rng.uniform(-1, 1, (n, 2))
+    xs[1::2] = xs[0::2] + 1e-9
+    return xs, rng.uniform(-1, 1, (n, 2))
+
+
+def uniform_pairs(rng, n):
+    return rng.uniform(-1, 1, (n, 2)), rng.uniform(-1, 1, (n, 2))
+
+
+class TestGramFactorHealth:
+    def test_duffing_cubic_inverse_residuals(self):
+        state = duffing_state(0, ConstantBudget(2 * 0.2 ** 3))
+        for cache in (state.gram_x, state.gram_y):
+            d = cache.size
+            A = cache.G + cache.jitter * np.eye(d)
+            assert np.linalg.norm(A @ cache.inverse() - np.eye(d)) / np.sqrt(d) <= 1e-8
+
+    def test_duffing_constant_budget_keeps_base_jitter(self):
+        state = duffing_state(3, ConstantBudget(1e-3))
+        assert state.gram_x.jitter == pytest.approx(1e-10, rel=1e-12)
+        assert state.gram_y.jitter == pytest.approx(1e-10, rel=1e-12)
+        assert state.dict_size <= 600
+
+    @pytest.mark.parametrize("eps", [1e-3, 0.05])
+    @pytest.mark.parametrize("bandwidth,pairs", [
+        (0.5, near_duplicate_every),
+        (0.5, near_duplicate_alternate),
+        (1e-3, uniform_pairs),
+        (1e3, uniform_pairs),
+    ])
+    def test_adversarial_inputs(self, rng, eps, bandwidth, pairs):
+        cfg = make_cfg(Kernel.gaussian(bandwidth), budget=ConstantBudget(eps))
+        xs, ys = pairs(rng, 400)
+        state, _ = run_stream(cfg, zip(xs, ys))
+        assert state.hs_norm == pytest.approx(hs_norm(state.rep), rel=1e-9)
