@@ -222,23 +222,12 @@ def exact_finite_cme(model: FiniteSpaceModel, lam: float,
     ix_all, iy_all = np.nonzero(J > 0)
     if ix_all.size == 0:
         raise ModelError("joint distribution has empty support")
-    dict_xs = xs[ix_all]
-    dict_ys = ys[iy_all]
-    d = ix_all.size
-    rep_for_x = {}
-    rep_for_y = {}
-    for p in range(d):
-        rep_for_x.setdefault(int(ix_all[p]), p)
-        rep_for_y.setdefault(int(iy_all[p]), p)
-    W = np.zeros((d, d))
-    for iy in range(ys.shape[0]):
-        if iy not in rep_for_y:
-            continue
-        for ix in range(xs.shape[0]):
-            if ix not in rep_for_x:
-                continue
-            W[rep_for_y[iy], rep_for_x[ix]] += Wgrid[iy, ix]
-    return OperatorRep(dict=Dictionary(dict_xs, dict_ys), W=W,
+    # every kept state has support, so each has a first representative pair
+    _, rep_x = np.unique(ix_all, return_index=True)
+    _, rep_y = np.unique(iy_all, return_index=True)
+    W = np.zeros((ix_all.size, ix_all.size))
+    W[np.ix_(rep_y, rep_x)] = Wgrid
+    return OperatorRep(dict=Dictionary(xs[ix_all], ys[iy_all]), W=W,
                        kernel_x=kernel_x, kernel_y=kernel_y)
 
 

@@ -56,8 +56,7 @@ def cmd_learn(args) -> int:
     base = os.path.dirname(os.path.abspath(args.config))
     out_dir = args.out or cfg_data.get("outputs", {}).get("dir", ".")
     os.makedirs(out_dir, exist_ok=True)
-    budget_squared = True if args.budget_squared else None
-    cfg = build_learner_config(cfg_data, budget_squared=budget_squared)
+    cfg = build_learner_config(cfg_data)
     xs, ys = build_stream(cfg_data, base_dir=base, seed=args.seed)
     checkpoints = sorted(set(cfg_data.get("analysis", {}).get("checkpoints", [])))
 
@@ -86,14 +85,20 @@ def cmd_learn(args) -> int:
 
 
 def cmd_koopman(args) -> int:
+    from .errors import InputError
     from .koopman import GridSpec, grid_eval, koopman_spectrum
     from .operator import load_rep
 
     rep = load_rep(args.model)
+    spec = koopman_spectrum(rep, args.k)
+    grid = GridSpec(mins=tuple(args.grid_min), maxs=tuple(args.grid_max),
+                    counts=tuple(args.grid_counts))
+    fields = args.fields if args.fields is not None else list(range(len(spec)))
+    for idx in fields:
+        if not 0 <= idx < len(spec):
+            raise InputError(f"eigenfunction index {idx} out of range")
     out_dir = args.out or os.path.dirname(os.path.abspath(args.model)) or "."
     os.makedirs(out_dir, exist_ok=True)
-    k = min(args.k, max(1, len(rep)))
-    spec = koopman_spectrum(rep, k)
     degenerate = bool((abs(spec.eigenvalues) < 1e-12).all())
     payload = {
         "eigenvalues": [[v.real, v.imag] for v in spec.eigenvalues],
@@ -107,9 +112,6 @@ def cmd_koopman(args) -> int:
     if degenerate:
         print("spectrum is identically zero; skipping eigenfunction fields")
         return 0
-    fields = args.fields if args.fields is not None else list(range(k))
-    grid = GridSpec(mins=tuple(args.grid_min), maxs=tuple(args.grid_max),
-                    counts=tuple(args.grid_counts))
     pts = grid.points()
     for idx in fields:
         field = grid_eval(spec, idx, grid)
@@ -119,7 +121,8 @@ def cmd_koopman(args) -> int:
             for p, v in zip(pts, field.values):
                 fh.write(f"{_float_repr(p[0])},{_float_repr(p[1])},"
                          f"{_float_repr(v.real)},{_float_repr(v.imag)}\n")
-    print(f"wrote spectrum ({k} eigenvalues) and {len(fields)} field grids to {out_dir}")
+    print(f"wrote spectrum ({len(spec)} eigenvalues) and {len(fields)} field grids "
+          f"to {out_dir}")
     return 0
 
 
@@ -198,9 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     lrn.add_argument("--config", required=True)
     lrn.add_argument("--out", default=None)
     lrn.add_argument("--seed", type=int, default=None)
-    lrn.add_argument("--budget-squared", action="store_true",
-                     help="compare the squared residual to the budget instead "
-                          "of its square root")
     lrn.set_defaults(func=cmd_learn)
 
     kp = sub.add_parser("koopman", help="spectrum and eigenfunction grids")

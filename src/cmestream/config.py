@@ -18,7 +18,7 @@ from .batch import FiniteSpaceModel
 from .dynamics import (DuffingParams, DuffingTrajectories, FiniteChainStream,
                        FiniteIIDStream, StreamSpec, generate_stream)
 from .errors import ConfigError, InputError
-from .kernels import Kernel
+from .kernels import DEFAULT_JITTER_SCALE, Kernel
 from .learner import (ConstantBudget, ConstantStep, CubicBudget, LearnerConfig,
                       PolynomialStep, QuadraticBudget, ZeroBudget)
 
@@ -43,18 +43,6 @@ _KERNEL_SCHEMA = {
         "family": {"enum": ["gaussian", "linear"]},
         "bandwidth": {"type": "number", "exclusiveMinimum": 0},
         "bound": {"type": "number", "exclusiveMinimum": 0},
-    },
-}
-
-_GRID_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["mins", "maxs", "counts"],
-    "properties": {
-        "mins": {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2},
-        "maxs": {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2},
-        "counts": {"type": "array", "items": {"type": "integer", "minimum": 2},
-                   "minItems": 2, "maxItems": 2},
     },
 }
 
@@ -163,14 +151,10 @@ CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
+                # accepted but unread: bench/workloads.py still writes it
                 "koopman_k": {"type": "integer", "minimum": 1},
-                "grid": _GRID_SCHEMA,
-                "fields": {"type": "array", "items": {"type": "integer", "minimum": 0}},
                 "checkpoints": {"type": "array",
                                 "items": {"type": "integer", "minimum": 1}},
-                "oracle": {"enum": ["batch", "exact"]},
-                "oracle_lambda": {"type": "number", "exclusiveMinimum": 0},
-                "oracle_model": {"type": "string"},
             },
         },
     },
@@ -197,7 +181,7 @@ def load_config(path) -> dict:
     return data
 
 
-def build_learner_config(data: dict, budget_squared: Optional[bool] = None) -> LearnerConfig:
+def build_learner_config(data: dict) -> LearnerConfig:
     kx = Kernel.from_dict(data["kernel"])
     ky = Kernel.from_dict(data.get("kernel_y", data["kernel"]))
     lrn = data["learner"]
@@ -216,16 +200,15 @@ def build_learner_config(data: dict, budget_squared: Optional[bool] = None) -> L
         budget = QuadraticBudget(b_cmp=bud["b_cmp"])
     else:
         budget = CubicBudget(b_cmp=bud["b_cmp"])
-    squared = lrn.get("budget_squared", False) if budget_squared is None else budget_squared
     return LearnerConfig(
         lam=lrn["lambda"],
         step_schedule=sched,
         budget_schedule=budget,
         kernel_x=kx,
         kernel_y=ky,
-        jitter_scale=lrn.get("jitter_scale", 1e-10),
+        jitter_scale=lrn.get("jitter_scale", DEFAULT_JITTER_SCALE),
         max_dictionary=lrn.get("max_dictionary"),
-        budget_squared=squared,
+        budget_squared=lrn.get("budget_squared", False),
     )
 
 

@@ -47,12 +47,6 @@ class KoopmanSpectrum:
     def __len__(self) -> int:
         return self.eigenvalues.shape[0]
 
-    def is_real(self, index: int) -> bool:
-        lam = self.eigenvalues[index]
-        v = self.eigenvectors[:, index]
-        return (abs(lam.imag) <= _REAL_TOL * max(1.0, abs(lam))
-                and np.max(np.abs(v.imag)) <= _REAL_TOL)
-
 
 def _normalize_pair(lam: complex, v: np.ndarray):
     nrm = np.linalg.norm(v)

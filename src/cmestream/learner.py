@@ -293,7 +293,7 @@ class LearnerState:
         if d == 0:
             return zero_rep(0, 0, self.cfg.kernel_x, self.cfg.kernel_y)
         return OperatorRep(
-            dict=Dictionary(self.gram_x.points.copy(), self.gram_y.points.copy()),
+            dict=Dictionary(self.gram_x.points, self.gram_y.points),
             W=self.coefficients,
             kernel_x=self.cfg.kernel_x,
             kernel_y=self.cfg.kernel_y,

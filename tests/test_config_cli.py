@@ -1,6 +1,7 @@
 import json
 import os
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -35,10 +36,18 @@ class TestConfigValidation:
     def test_valid_config_passes(self):
         validate_config(duffing_config())
 
-    def test_unknown_key_rejected_with_name(self):
+    @pytest.mark.parametrize("section, key, value", [
+        ("learner", "stepsize", 0.1),
+        ("analysis", "grid", {"mins": [-2, -2], "maxs": [2, 2], "counts": [40, 40]}),
+        ("analysis", "fields", [0]),
+        ("analysis", "oracle", "exact"),
+        ("analysis", "oracle_lambda", 0.1),
+        ("analysis", "oracle_model", "chain.json"),
+    ])
+    def test_unknown_key_rejected_with_name(self, section, key, value):
         cfg = duffing_config()
-        cfg["learner"]["stepsize"] = 0.1
-        with pytest.raises(ConfigError, match="stepsize"):
+        cfg.setdefault(section, {})[key] = value
+        with pytest.raises(ConfigError, match=f"'{key}'"):
             validate_config(cfg)
 
     def test_unknown_top_level_key(self):
@@ -92,6 +101,7 @@ class TestConfigValidation:
 
     def test_schema_is_json_serializable(self):
         json.dumps(CONFIG_SCHEMA)
+        jsonschema.Draft202012Validator.check_schema(CONFIG_SCHEMA)
 
 
 class TestBuilders:
@@ -110,7 +120,9 @@ class TestBuilders:
         assert cfg.budget_schedule == QuadraticBudget(1.0)
 
     def test_budget_squared_override(self):
-        cfg = build_learner_config(duffing_config(), budget_squared=True)
+        raw = duffing_config()
+        raw["learner"]["budget_squared"] = True
+        cfg = build_learner_config(raw)
         assert cfg.budget_squared
 
     def test_stream_seed_override(self, tmp_path):
@@ -198,11 +210,13 @@ class TestCliLearn:
     def test_budget_squared_flag_changes_decisions(self, tmp_path):
         cfg = duffing_config(n_traj=2, steps=10,
                              budget={"kind": "constant", "eps": 0.05})
-        path = tmp_path / "cfg.json"
+        path, path_sq = tmp_path / "cfg.json", tmp_path / "cfg_sq.json"
         path.write_text(json.dumps(cfg))
+        cfg["learner"]["budget_squared"] = True
+        path_sq.write_text(json.dumps(cfg))
         out_sqrt, out_sq = tmp_path / "sqrt", tmp_path / "sq"
         run_cli("learn", "--config", path, "--out", out_sqrt)
-        run_cli("learn", "--config", path, "--out", out_sq, "--budget-squared")
+        run_cli("learn", "--config", path_sq, "--out", out_sq)
         n_sqrt = json.loads((out_sqrt / "model.json").read_text())["dict"]
         n_sq = json.loads((out_sq / "model.json").read_text())["dict"]
         assert len(n_sq) != len(n_sqrt)
@@ -222,6 +236,19 @@ class TestCliKoopman:
         field = (out / "eigfield_0.csv").read_text().strip().splitlines()
         assert field[0] == "x1,x2,re,im"
         assert len(field) == 26
+
+    @pytest.mark.parametrize("flags", [
+        ("--k", 3, "--fields", 5),
+        ("--fields", "0,7"),
+        ("--grid-counts", "1,1"),
+    ])
+    def test_flag_error_writes_nothing(self, duffing_cfg_file, tmp_path, flags):
+        run_cli("learn", "--config", duffing_cfg_file, "--out", tmp_path / "run")
+        out = tmp_path / "koopman"
+        assert run_cli("koopman", "--model", tmp_path / "run" / "model.json",
+                       "--out", out, *flags) == 2
+        assert not (out / "spectrum.json").exists()
+        assert not list(out.glob("eigfield_*.csv"))
 
     def test_zero_model_degenerate_flag(self, tmp_path, gauss03, rng):
         from cmestream import Dictionary, OperatorRep, save_rep
