@@ -49,16 +49,20 @@ _TRACE_HEADER = "t,accepted,delta,eps_t,eta_t,dict_size,hs_norm"
 
 def cmd_learn(args) -> int:
     from .config import build_learner_config, build_stream, load_config
+    from .errors import ConfigError
     from .learner import new_state, step
     from .operator import rep_to_dict
 
     cfg_data = load_config(args.config)
     base = os.path.dirname(os.path.abspath(args.config))
     out_dir = args.out or cfg_data.get("outputs", {}).get("dir", ".")
-    os.makedirs(out_dir, exist_ok=True)
     cfg = build_learner_config(cfg_data)
     xs, ys = build_stream(cfg_data, base_dir=base, seed=args.seed)
     checkpoints = sorted(set(cfg_data.get("analysis", {}).get("checkpoints", [])))
+    if checkpoints and checkpoints[-1] > len(xs):
+        raise ConfigError(f"checkpoint {checkpoints[-1]} is past the end of the "
+                          f"{len(xs)}-sample stream")
+    os.makedirs(out_dir, exist_ok=True)
 
     state = new_state(cfg)
     trace_path = os.path.join(out_dir, "trace.csv")
@@ -131,7 +135,7 @@ def cmd_compare(args) -> int:
                         exact_finite_cme)
     from .config import read_stream_csv
     from .errors import InputError
-    from .operator import load_rep, rep_from_dict
+    from .operator import load_rep
 
     run_dir = args.run_dir
     model_path = os.path.join(run_dir, "model.json")
@@ -140,8 +144,7 @@ def cmd_compare(args) -> int:
     for path in glob.glob(os.path.join(run_dir, "checkpoint_*.json")):
         m = re.match(r"checkpoint_(\d+)\.json$", os.path.basename(path))
         if m:
-            with open(path) as fh:
-                checkpoints.append((int(m.group(1)), rep_from_dict(json.load(fh))))
+            checkpoints.append((int(m.group(1)), load_rep(path)))
     checkpoints.sort(key=lambda kv: kv[0])
     if not checkpoints:
         raise InputError(f"no checkpoint_<t>.json files found in {run_dir}")

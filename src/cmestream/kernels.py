@@ -259,6 +259,9 @@ class GramCache:
     factorization.  Runs that never solve (pure admission, zero compression
     budget) never pay for the factor.
 
+    The cache also owns each point's checks (``_point``) and identity:
+    ``find`` looks a point up in an index from its bytes to its first row.
+
     Single-writer: appends must come from one thread; reads of published
     views are safe afterwards.
     """
@@ -269,6 +272,7 @@ class GramCache:
         self.jitter = 0.0
         self.size = 0
         self._pts: Optional[np.ndarray] = None
+        self._index: dict[bytes, int] = {}     # point bytes -> first row
         self._G: Optional[np.ndarray] = None
         # zero above the diagonal: solves are full mat-vecs over [:size, :size]
         self._R: Optional[np.ndarray] = None
@@ -285,12 +289,26 @@ class GramCache:
             return np.zeros((0, 0))
         return self._G[: self.size, : self.size]
 
+    def _point(self, point) -> np.ndarray:
+        """``point`` as a finite 1 x dim array of the cached points' dim."""
+        p = _as_points(point, "point")
+        if p.shape[0] != 1:
+            raise InputError("expected a single point")
+        if self._pts is not None and p.shape[1] != self._pts.shape[1]:
+            raise InputError("point dimension does not match cache")
+        return p
+
     def kernel_vector(self, point) -> np.ndarray:
         """Kernel values of ``point`` against every cached point."""
+        p = self._point(point)
         if self.size == 0:
             return np.zeros(0)
-        p = _as_points(point, "point")
         return _pairwise(self.kernel, self._pts[: self.size], p)[:, 0]
+
+    def find(self, point) -> Optional[int]:
+        """First index whose point ``==`` ``point`` (so -0.0 matches 0.0), or None."""
+        key = (np.asarray(point, dtype=float).reshape(-1) + 0.0).tobytes()
+        return self._index.get(key)
 
     def _grow(self, need: int):
         cap = 0 if self._G is None else self._G.shape[0]
@@ -313,11 +331,9 @@ class GramCache:
 
     def append(self, point, kvec: Optional[np.ndarray] = None, diag: Optional[float] = None):
         """Add a point; ``kvec``/``diag`` may carry precomputed kernel values."""
-        p = _as_points(point, "point")
+        p = self._point(point)
         if self._pts is None:
             self._pts = np.empty((0, p.shape[1]))
-        elif p.shape[1] != self._pts.shape[1]:
-            raise InputError("point dimension does not match cache")
         if kvec is None:
             kvec = self.kernel_vector(p)
         if diag is None:
@@ -325,6 +341,7 @@ class GramCache:
         d = self.size
         self._grow(d + 1)
         self._pts[d] = p[0]
+        self._index.setdefault((p[0] + 0.0).tobytes(), d)   # + 0.0: -0.0 -> 0.0
         self._G[:d, d] = kvec
         self._G[d, :d] = kvec
         self._G[d, d] = diag

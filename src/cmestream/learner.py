@@ -371,27 +371,6 @@ def new_state(cfg: LearnerConfig) -> LearnerState:
     return LearnerState(cfg)
 
 
-def _validate_sample(state: LearnerState, sample) -> tuple[np.ndarray, np.ndarray]:
-    x = np.asarray(sample[0], dtype=float).reshape(-1)
-    y = np.asarray(sample[1], dtype=float).reshape(-1)
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise InputError("sample contains non-finite values")
-    if state.dict_size:
-        if x.shape[0] != state.gram_x.points.shape[1]:
-            raise InputError("sample x dimension does not match dictionary")
-        if y.shape[0] != state.gram_y.points.shape[1]:
-            raise InputError("sample y dimension does not match dictionary")
-    return x, y
-
-
-def _find_atom(points: np.ndarray, p: np.ndarray) -> Optional[int]:
-    """Index of a bitwise-identical point, or None."""
-    if points.shape[0] == 0:
-        return None
-    hits = np.nonzero((points == p).all(axis=1))[0]
-    return int(hits[0]) if hits.size else None
-
-
 def _admit(state: LearnerState, x, y, k_x, k_y, s_x, s_y, eta, a,
            norm_tilde_sq, wk):
     """Extend the dictionary; ``wk`` is W k_x in factored units."""
@@ -419,12 +398,12 @@ def _admit(state: LearnerState, x, y, k_x, k_y, s_x, s_y, eta, a,
 def step(state: LearnerState, cfg: LearnerConfig, sample) -> LearnerState:
     """One full iteration: expand, test the compression budget, project or
     admit.  Mutates ``state`` in place and returns it."""
-    if cfg is not state.cfg:
-        if (cfg.kernel_x != state.cfg.kernel_x or cfg.kernel_y != state.cfg.kernel_y
-                or cfg.jitter_scale != state.cfg.jitter_scale):
-            raise ConfigError("kernels/jitter cannot change mid-run")
-        state.cfg = cfg
-    x, y = _validate_sample(state, sample)
+    if cfg is not state.cfg and (cfg.kernel_x != state.cfg.kernel_x
+                                 or cfg.kernel_y != state.cfg.kernel_y
+                                 or cfg.jitter_scale != state.cfg.jitter_scale):
+        raise ConfigError("kernels/jitter cannot change mid-run")
+    x = np.asarray(sample[0], dtype=float).reshape(-1)
+    y = np.asarray(sample[1], dtype=float).reshape(-1)
     t = state.t + 1
     eta = cfg.eta_at(t)
     eps = cfg.eps_at(t, eta)
@@ -432,8 +411,10 @@ def step(state: LearnerState, cfg: LearnerConfig, sample) -> LearnerState:
     d = state.dict_size
 
     c = state._c
+    # the caches check both points here, before anything mutates the state
     k_x = state.gram_x.kernel_vector(x)
     k_y = state.gram_y.kernel_vector(y)
+    state.cfg = cfg
     s_x = self_kernel(cfg.kernel_x, x)
     s_y = self_kernel(cfg.kernel_y, y)
 
@@ -446,18 +427,17 @@ def step(state: LearnerState, cfg: LearnerConfig, sample) -> LearnerState:
     norm_tilde_sq = a * a * state._norm_sq + 2.0 * a * eta * rwk \
         + eta * eta * gg * s_x
 
-    p_idx = _find_atom(state.gram_x.points, x)
-    q_idx = _find_atom(state.gram_y.points, y) if p_idx is not None else None
-    contained = p_idx is not None and q_idx is not None
+    p_idx = state.gram_x.find(x)
+    q_idx = None if p_idx is None else state.gram_y.find(y)
+    contained = q_idx is not None
 
-    u_y = u_x = None
     if d == 0:
         # empty span: the residual is the full norm and the sample is admitted
         delta = norm_tilde_sq
     elif contained:
         # the rank-one update lies exactly in the dictionary's product span
         delta = 0.0
-    elif isinstance(cfg.budget_schedule, ZeroBudget) or eps == 0.0:
+    elif eps == 0.0:
         delta = np.nan                      # zero budget admits; skip the test
     else:
         u_y = state.gram_y.solve(r)
@@ -507,13 +487,11 @@ def run_stream(cfg: LearnerConfig, samples, checkpoints: Optional[Sequence[int]]
     marks = sorted(set(int(t) for t in checkpoints)) if checkpoints else []
     reps = []
     mark_i = 0
-    seen = False
     for sample in samples:
-        seen = True
         step(state, cfg, sample)
         while mark_i < len(marks) and marks[mark_i] == state.t:
             reps.append((state.t, state.snapshot_rep()))
             mark_i += 1
-    if not seen:
+    if not state.t:
         raise InputError("sample stream is empty")
     return state, reps

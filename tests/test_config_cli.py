@@ -189,6 +189,14 @@ class TestCliLearn:
         assert (out / "checkpoint_2.json").exists()
         assert (out / "checkpoint_6.json").exists()
 
+    def test_checkpoint_past_stream_end_rejected(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(duffing_config(checkpoints=[5, 999])))
+        out = tmp_path / "run"
+        assert run_cli("learn", "--config", path, "--out", out) == 2
+        assert "checkpoint 999" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_learn_deterministic(self, duffing_cfg_file, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         run_cli("learn", "--config", duffing_cfg_file, "--out", out1)

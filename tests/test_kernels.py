@@ -210,6 +210,31 @@ class TestGramCache:
         assert np.linalg.norm(A @ cache.inverse() - np.eye(2)) / np.sqrt(2) <= 1e-8
         assert np.allclose(cache.solve(np.ones(2)), cache.inverse() @ np.ones(2))
 
+    @pytest.mark.parametrize("filled, point", [
+        (False, []), (False, [[0.0, 0.0], [1.0, 1.0]]), (False, [np.nan, 0.0]),
+        (True, [0.0, 0.0, 0.0]), (True, [[0.0, 0.0], [1.0, 1.0]]), (True, [0.0, np.nan]),
+    ], ids=["empty-no-coordinate", "empty-two-points", "empty-nan",
+            "filled-wrong-dim", "filled-two-points", "filled-nan"])
+    def test_bad_point_rejected(self, gauss05, filled, point):
+        cache = GramCache(gauss05)
+        if filled:
+            cache.append([0.5, 0.5])
+        with pytest.raises(InputError):
+            cache.kernel_vector(point)
+        with pytest.raises(InputError):
+            cache.append(point)
+        assert cache.size == int(filled)
+
+    def test_find_returns_first_index(self, gauss05):
+        cache = GramCache(gauss05)
+        assert cache.find([0.0, 0.0]) is None
+        for p in ([1.0, 2.0], [0.0, -0.0], [1.0, 2.0], [-0.0, 0.0]):
+            cache.append(p)
+        assert cache.find([1.0, 2.0]) == 0
+        assert cache.find(np.array([-0.0, 0.0])) == 1     # signed zeros merge
+        assert cache.find([2.0, 1.0]) is None
+        assert cache.find([1.0]) is None
+
     def test_composed_woodbury_property(self, gauss05, rng):
         # bordered updates composed n times equal the direct inverse, n <= 50
         cache = GramCache(gauss05, jitter_scale=1e-10)

@@ -234,6 +234,14 @@ class TestStep:
         assert state.dict_size == 1
         assert all(r.delta == 0.0 for r in state.stats[1:])
 
+    def test_zero_budget_folds_signed_zero_duplicate(self, gauss03):
+        cfg = make_cfg(gauss03)
+        state = new_state(cfg)
+        step(state, cfg, ([0.0, 0.5], [0.5, 0.0]))
+        step(state, cfg, ([-0.0, 0.5], [0.5, -0.0]))
+        rec = state.stats[-1]
+        assert rec.delta == 0.0 and not rec.accepted and state.dict_size == 1
+
     def test_budget_squared_literal_comparison(self, gauss03):
         # squared mode compares delta (not sqrt) to eps: with eps between
         # delta and sqrt(delta) the two modes disagree
@@ -266,6 +274,30 @@ class TestStep:
         step(state, cfg, ([0.0, 0.0], [0.0, 0.0]))
         with pytest.raises(InputError):
             step(state, cfg, ([0.0], [0.0, 0.0]))
+
+    @pytest.mark.parametrize("d, sample", [
+        (0, ([np.nan, 0.0], [0.3, 0.3])), (0, ([0.3, 0.3], [0.0, np.nan])),
+        (0, ([], [0.3, 0.3])), (0, ([0.3, 0.3], [])),
+        (2, ([np.nan, 0.0], [0.3, 0.3])), (2, ([0.3, 0.3], [0.0, np.nan])),
+        (2, ([0.0] * 3, [0.3, 0.3])), (2, ([0.3, 0.3], [0.0] * 3)),
+    ], ids=["d0-nan-x", "d0-nan-y", "d0-dim-x", "d0-dim-y",
+            "d2-nan-x", "d2-nan-y", "d2-dim-x", "d2-dim-y"])
+    def test_bad_sample_leaves_state(self, gauss03, d, sample):
+        # at d = 0 the wrong dimension is a point with no coordinate
+        cfg = make_cfg(gauss03, budget=ConstantBudget(0.01))
+        state = new_state(cfg)
+        for i in range(d):
+            step(state, cfg, ([0.5 * i, 0.0], [0.0, 0.5 * i]))
+        assert state.dict_size == d
+
+        def scalars():
+            return state.t, state.dict_size, len(state.stats), state.hs_norm
+
+        before, W = scalars(), state.coefficients
+        with pytest.raises(InputError):     # a new schedule rides along
+            step(state, make_cfg(gauss03, eta=0.1, budget=ConstantBudget(0.01)), sample)
+        assert scalars() == before and state.cfg is cfg
+        assert np.array_equal(state.coefficients, W)
 
 
 def on_state_grid(rep, states):
