@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import InputError, ModelError
 from .kernels import Kernel, gram_matrix
-from .operator import Dictionary, OperatorRep, hs_distance, hs_norm
+from .operator import (Dictionary, OperatorRep, hs_distance, hs_norm, json_field,
+                       read_json)
 
 
 @dataclass(frozen=True)
@@ -172,12 +173,14 @@ class FiniteSpaceModel:
 
     @staticmethod
     def from_dict(data: dict) -> "FiniteSpaceModel":
+        """Inverse of ``to_dict``; a missing or malformed key raises
+        ``InputError`` naming it."""
+        def array(key):
+            return json_field(data, key, lambda v: np.asarray(v, dtype=float))
+
         return FiniteSpaceModel(
-            x_states=np.asarray(data["x_states"], dtype=float),
-            y_states=np.asarray(data["y_states"], dtype=float),
-            joint=np.asarray(data["joint"], dtype=float),
-            transition=(np.asarray(data["transition"], dtype=float)
-                        if data.get("transition") is not None else None),
+            x_states=array("x_states"), y_states=array("y_states"), joint=array("joint"),
+            transition=array("transition") if data.get("transition") is not None else None,
         )
 
     def save(self, path):
@@ -186,8 +189,7 @@ class FiniteSpaceModel:
 
     @staticmethod
     def load(path) -> "FiniteSpaceModel":
-        with open(path) as fh:
-            return FiniteSpaceModel.from_dict(json.load(fh))
+        return read_json(path, FiniteSpaceModel.from_dict)
 
 
 def exact_finite_cme(model: FiniteSpaceModel, lam: float,

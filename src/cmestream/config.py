@@ -171,10 +171,14 @@ def validate_config(data: dict):
         raise ConfigError(f"invalid config at {where}: {err.message}")
 
 
+def _reject_constant(name: str):
+    raise ConfigError(f"config is not valid JSON: {name} is not a number")
+
+
 def load_config(path) -> dict:
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            data = json.load(fh, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     validate_config(data)

@@ -43,12 +43,12 @@ class Kernel:
         if self.family not in ("gaussian", "linear", "custom"):
             raise InputError(f"unknown kernel family: {self.family!r}")
         if self.family == "gaussian":
-            if self.bandwidth is None or self.bandwidth <= 0:
-                raise InputError("gaussian kernel needs a positive bandwidth")
+            if self.bandwidth is None or not 0 < self.bandwidth < np.inf:
+                raise InputError("gaussian kernel needs a positive finite bandwidth")
             if self.bound != 1.0:
                 raise InputError("gaussian kernel has k(x,x)=1, bound must be 1")
-        if self.bound <= 0:
-            raise InputError("kernel bound must be positive")
+        if not 0 < self.bound < np.inf:
+            raise InputError("kernel bound must be positive and finite")
         if self.family == "custom" and self.fn is None:
             raise InputError("custom kernel needs an evaluation function")
 
@@ -91,7 +91,7 @@ def _as_points(points, name: str) -> np.ndarray:
         arr = arr[None, :]
     if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
         raise InputError(f"{name} must be a nonempty list of points")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InputError(f"{name} contains non-finite values")
     return arr
 
@@ -174,8 +174,8 @@ def _inverse_factor(G, jitter_scale: float):
         return np.zeros((0, 0)), 0.0
     if not np.allclose(G, G.T, rtol=1e-8, atol=1e-10):
         raise InputError("G must be symmetric")
-    if jitter_scale < 0:
-        raise InputError("jitter_scale must be nonnegative")
+    if not 0 <= jitter_scale < np.inf:     # a NaN would never end the escalation
+        raise InputError("jitter_scale must be nonnegative and finite")
 
     unit = np.trace(G) / d
     if unit <= 0:
@@ -303,7 +303,12 @@ class GramCache:
         p = self._point(point)
         if self.size == 0:
             return np.zeros(0)
-        return _pairwise(self.kernel, self._pts[: self.size], p)[:, 0]
+        pts = self._pts[: self.size]
+        if self.kernel.family == "gaussian":  # _pairwise's arithmetic, no 3-d broadcast
+            diff = pts - p
+            sq = np.einsum("ij,ij->i", diff, diff)
+            return np.exp(-sq / (2.0 * self.kernel.bandwidth ** 2))
+        return _pairwise(self.kernel, pts, p)[:, 0]
 
     def find(self, point) -> Optional[int]:
         """First index whose point ``==`` ``point`` (so -0.0 matches 0.0), or None."""
@@ -329,8 +334,9 @@ class GramCache:
             new_R[: self.size, : self.size] = self._R[: self.size, : self.size]
             self._R = new_R
 
-    def append(self, point, kvec: Optional[np.ndarray] = None, diag: Optional[float] = None):
-        """Add a point; ``kvec``/``diag`` may carry precomputed kernel values."""
+    def append(self, point, kvec: Optional[np.ndarray] = None, diag: Optional[float] = None,
+               parts: Optional[tuple] = None):
+        """Add a point; ``kvec``, ``diag`` and ``parts = solve_parts(kvec)`` may be given."""
         p = self._point(point)
         if self._pts is None:
             self._pts = np.empty((0, p.shape[1]))
@@ -346,18 +352,17 @@ class GramCache:
         self._G[d, :d] = kvec
         self._G[d, d] = diag
         if self._R is not None:
-            self._append_row(d, kvec, diag)
+            self._append_row(d, kvec, diag, parts)
         self.size = d + 1
 
-    def _append_row(self, d: int, kvec: np.ndarray, diag: float):
-        R = self._R[:d, :d]
-        l = R @ kvec
+    def _append_row(self, d: int, kvec: np.ndarray, diag: float, parts):
+        l, u = self.solve_parts(kvec) if parts is None else parts
         s = diag + self.jitter - l @ l
         if s <= SCHUR_FALLBACK_RTOL * (diag + self.jitter):
             self._factor(d + 1)     # degenerate pivot: refactor, escalating jitter
             return
         root = np.sqrt(s)
-        self._R[d, :d] = (l @ R) / -root
+        self._R[d, :d] = u / -root
         self._R[d, d] = 1.0 / root
 
     def _factor(self, n: int):
@@ -375,10 +380,15 @@ class GramCache:
             self._factor(self.size)
         return self._R[: self.size, : self.size]
 
+    def solve_parts(self, v) -> tuple:
+        """``(l, u)`` with ``l = R v`` and ``u = R^T l = (G + jitter*I)^{-1} v``."""
+        R = self._factor_view()
+        l = R @ v
+        return l, l @ R
+
     def solve(self, v) -> np.ndarray:
         """``(G + jitter*I)^{-1} v`` as ``R^T (R v)``."""
-        R = self._factor_view()
-        return (R @ v) @ R
+        return self.solve_parts(v)[1]
 
     def inverse(self) -> np.ndarray:
         """Jittered inverse ``R^T R`` of the current Gram (a new matrix)."""

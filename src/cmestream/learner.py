@@ -115,8 +115,8 @@ class LearnerConfig:
                     f"constant step size must satisfy 0 < eta <= min(1, 1/lambda) = {limit}"
                 )
         elif isinstance(s, PolynomialStep):
-            if not (s.eta0 > 0 and s.t0 > 0):
-                raise ConfigError("polynomial schedule needs eta0 > 0 and t0 > 0")
+            if not (s.eta0 > 0 and 0 < s.t0 < np.inf):
+                raise ConfigError("polynomial schedule needs eta0 > 0 and a finite t0 > 0")
             if not (0.5 < s.p <= 1.0):
                 raise ConfigError("polynomial decay exponent must lie in (0.5, 1]")
             if s.eta0 > 1.0 / self.lam * (1 + 1e-12):
@@ -125,15 +125,15 @@ class LearnerConfig:
             raise ConfigError(f"unknown step schedule {s!r}")
         b = self.budget_schedule
         if isinstance(b, ConstantBudget):
-            if b.eps < 0:
-                raise ConfigError("compression budget must be nonnegative")
+            if not 0 <= b.eps < np.inf:
+                raise ConfigError("compression budget must be nonnegative and finite")
         elif isinstance(b, (QuadraticBudget, CubicBudget)):
-            if b.b_cmp <= 0:
-                raise ConfigError("budget coupling constant must be positive")
+            if not 0 < b.b_cmp < np.inf:
+                raise ConfigError("budget coupling constant must be positive and finite")
         elif not isinstance(b, ZeroBudget):
             raise ConfigError(f"unknown budget schedule {b!r}")
-        if self.jitter_scale < 0:
-            raise ConfigError("jitter_scale must be nonnegative")
+        if not 0 <= self.jitter_scale < np.inf:
+            raise ConfigError("jitter_scale must be nonnegative and finite")
         if self.max_dictionary is not None and self.max_dictionary < 1:
             raise ConfigError("max_dictionary must be positive")
 
@@ -372,8 +372,9 @@ def new_state(cfg: LearnerConfig) -> LearnerState:
 
 
 def _admit(state: LearnerState, x, y, k_x, k_y, s_x, s_y, eta, a,
-           norm_tilde_sq, wk):
-    """Extend the dictionary; ``wk`` is W k_x in factored units."""
+           norm_tilde_sq, wk, parts_x):
+    """Extend the dictionary; ``wk`` is W k_x in factored units and
+    ``parts_x`` the test's ``gram_x.solve_parts(k_x)`` (None if untested)."""
     cfg = state.cfg
     d = state.dict_size
     if cfg.max_dictionary is not None and d + 1 > cfg.max_dictionary:
@@ -391,7 +392,7 @@ def _admit(state: LearnerState, x, y, k_x, k_y, s_x, s_y, eta, a,
     W[d, :d] = 0.0
     W[d, d] = eta / c_new
     state._norm_sq = norm_tilde_sq
-    state.gram_x.append(x, k_x, s_x)
+    state.gram_x.append(x, k_x, s_x, parts_x)
     state.gram_y.append(y, k_y, s_y)
 
 
@@ -430,6 +431,7 @@ def step(state: LearnerState, cfg: LearnerConfig, sample) -> LearnerState:
     p_idx = state.gram_x.find(x)
     q_idx = None if p_idx is None else state.gram_y.find(y)
     contained = q_idx is not None
+    parts_x = None
 
     if d == 0:
         # empty span: the residual is the full norm and the sample is admitted
@@ -441,7 +443,8 @@ def step(state: LearnerState, cfg: LearnerConfig, sample) -> LearnerState:
         delta = np.nan                      # zero budget admits; skip the test
     else:
         u_y = state.gram_y.solve(r)
-        u_x = state.gram_x.solve(k_x)
+        parts_x = state.gram_x.solve_parts(k_x)
+        u_x = parts_x[1]
         fit = float((u_y @ r) * (k_x @ u_x))
         delta = eta * eta * _clamped_delta(s_x * gg - fit, s_x * gg + fit)
 
@@ -453,7 +456,7 @@ def step(state: LearnerState, cfg: LearnerConfig, sample) -> LearnerState:
         reject = np.sqrt(delta) <= eps
 
     if not reject:
-        _admit(state, x, y, k_x, k_y, s_x, s_y, eta, a, norm_tilde_sq, wk)
+        _admit(state, x, y, k_x, k_y, s_x, s_y, eta, a, norm_tilde_sq, wk, parts_x)
     elif contained:
         # exact fold into product atom (q_idx, p_idx): u_y = e_q - W k_x, u_x = e_p
         u_y = -c * wk
@@ -462,9 +465,9 @@ def step(state: LearnerState, cfg: LearnerConfig, sample) -> LearnerState:
         u_x[p_idx] = 1.0
         state._update(a, eta, u_y, u_x, norm_tilde_sq)
     else:
-        # projected update: W <- a W + eta u_y u_x^T
-        g = state.gram_y.G @ u_y
-        h = state.gram_x.G @ u_x
+        # projected update: W <- a W + eta u_y u_x^T; (G + jitter I) u = rhs gives G u
+        g = r - state.gram_y.jitter * u_y
+        h = k_x - state.gram_x.jitter * u_x
         wh = state._apply(h)
         state._update(a, eta, u_y, u_x, a * a * state._norm_sq
                       + 2.0 * a * eta * float(c * (g @ wh))

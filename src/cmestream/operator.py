@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NumericalError
+from .errors import InputError, ModelError, NumericalError
 from .kernels import Kernel, cross_gram, gram_matrix
 
 NEG_CLAMP_RTOL = 1e-10
@@ -220,19 +220,51 @@ def rep_to_dict(U: OperatorRep) -> dict:
     }
 
 
+def json_field(data, key: str, convert):
+    """``convert(data[key])`` for a parsed JSON object ``data``; a missing or
+    malformed value raises ``InputError`` naming ``key``."""
+    if not isinstance(data, dict):
+        raise InputError("document is not a JSON object")
+    if key not in data:
+        raise InputError(f"missing key {key!r}")
+    try:
+        return convert(data[key])
+    except (LookupError, TypeError, ValueError, AttributeError) as exc:
+        raise InputError(f"malformed key {key!r}: {exc}") from exc
+
+
+def read_json(path, parse):
+    """``parse`` of the JSON document in the file ``path``.  A file that is
+    not JSON, or a document that ``parse`` rejects, raises ``InputError`` (or
+    ``parse``'s ``ModelError``) naming the file."""
+    with open(path) as fh:
+        try:
+            data = json.load(fh)
+        except ValueError as exc:       # JSONDecodeError, UnicodeDecodeError
+            raise InputError(f"{path}: not a JSON document: {exc}") from exc
+    try:
+        return parse(data)
+    except (InputError, ModelError) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
+def _atoms(entries, side: int, dim: int) -> np.ndarray:
+    """One side's points of a serialized dictionary."""
+    if not entries:
+        return np.zeros((0, dim))
+    return np.array([e[side] for e in entries], dtype=float)
+
+
 def rep_from_dict(data: dict) -> OperatorRep:
-    kx = Kernel.from_dict(data["kernel_x"])
-    ky = Kernel.from_dict(data["kernel_y"])
-    entries = data["dict"]
-    dim_x = int(data.get("dim_x", len(entries[0][0]) if entries else 0))
-    dim_y = int(data.get("dim_y", len(entries[0][1]) if entries else 0))
-    if entries:
-        xs = np.array([e[0] for e in entries], dtype=float)
-        ys = np.array([e[1] for e in entries], dtype=float)
-    else:
-        xs = np.zeros((0, dim_x))
-        ys = np.zeros((0, dim_y))
-    W = np.array(data["W"], dtype=float).reshape(len(entries), len(entries))
+    """Inverse of ``rep_to_dict``; a missing or malformed key raises
+    ``InputError`` naming it."""
+    kx = json_field(data, "kernel_x", Kernel.from_dict)
+    ky = json_field(data, "kernel_y", Kernel.from_dict)
+    dim_x, dim_y = (json_field(data, k, int) if k in data else 0 for k in ("dim_x", "dim_y"))
+    xs = json_field(data, "dict", lambda entries: _atoms(entries, 0, dim_x))
+    ys = json_field(data, "dict", lambda entries: _atoms(entries, 1, dim_y))
+    d = len(xs)
+    W = json_field(data, "W", lambda w: np.array(w, dtype=float).reshape(d, d))
     return OperatorRep(dict=Dictionary(xs, ys), W=W, kernel_x=kx, kernel_y=ky)
 
 
@@ -242,5 +274,4 @@ def save_rep(U: OperatorRep, path):
 
 
 def load_rep(path) -> OperatorRep:
-    with open(path) as fh:
-        return rep_from_dict(json.load(fh))
+    return read_json(path, rep_from_dict)

@@ -6,9 +6,14 @@ solve for projections, and the plain full-dictionary coefficient recursion
 for the online learner.
 """
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import cmestream
 from cmestream import Dictionary, Kernel, OperatorRep, eval_kernel, sgd_expand
 
 
@@ -104,3 +109,14 @@ def naive_uncompressed(samples, cfg):
         ys.append(np.asarray(y, dtype=float))
     return OperatorRep(dict=Dictionary(np.array(xs), np.array(ys)), W=W,
                        kernel_x=cfg.kernel_x, kernel_y=cfg.kernel_y)
+
+
+def run_child(cwd, *args):
+    """``python *args`` against this package in a child process with a 60 s
+    timeout, so that a hang fails the calling test instead of stalling the
+    suite."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cmestream.__file__)))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, *map(str, args)], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=60)

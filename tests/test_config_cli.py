@@ -11,6 +11,7 @@ from cmestream.cli import main
 from cmestream.config import (CONFIG_SCHEMA, build_learner_config, build_stream,
                               load_config, read_stream_csv, validate_config,
                               write_stream_csv)
+from conftest import run_child
 
 
 def duffing_config(n_traj=4, steps=3, seed=7, budget=None, checkpoints=None,
@@ -98,6 +99,14 @@ class TestConfigValidation:
         del cfg["learner"]
         with pytest.raises(ConfigError):
             validate_config(cfg)
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_literal_rejected(self, tmp_path, literal):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(duffing_config()).replace(
+            '"lambda": 0.01', f'"lambda": {literal}'))
+        with pytest.raises(ConfigError, match=literal):
+            load_config(path)
 
     def test_schema_is_json_serializable(self):
         json.dumps(CONFIG_SCHEMA)
@@ -195,6 +204,32 @@ class TestCliLearn:
         out = tmp_path / "run"
         assert run_cli("learn", "--config", path, "--out", out) == 2
         assert "checkpoint 999" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section, key", [("kernel", "bandwidth"),
+                                              ("learner", "jitter_scale")])
+    def test_overflowing_setting_rejected(self, tmp_path, capsys, section, key):
+        # 1e999 parses as inf, so it passes the schema but not the builders
+        path = tmp_path / "cfg.json"
+        cfg = duffing_config(budget={"kind": "cubic", "b_cmp": 2.0})
+        cfg[section][key] = 1.0
+        path.write_text(json.dumps(cfg).replace(f'"{key}": 1.0', f'"{key}": 1e999'))
+        out = tmp_path / "run"
+        assert run_cli("learn", "--config", path, "--out", out) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nan_jitter_scale_exits_fast(self, tmp_path):
+        # a NaN jitter never ended the factor's escalation loop
+        cfg = duffing_config(budget={"kind": "cubic", "b_cmp": 2.0})
+        cfg["learner"]["jitter_scale"] = float("nan")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))    # json writes the NaN literal
+        out = tmp_path / "run"
+        proc = run_child(tmp_path, "-m", "cmestream.cli", "learn", "--config", path,
+                         "--out", out)
+        assert proc.returncode == 2, proc.stderr
+        assert "NaN" in proc.stderr and "Traceback" not in proc.stderr
         assert not out.exists()
 
     def test_learn_deterministic(self, duffing_cfg_file, tmp_path):
@@ -326,6 +361,72 @@ class TestCliCompare:
         assert run_cli("compare", "--run-dir", tmp_path / "empty",
                        "--oracle", "exact", "--model-json", "x.json",
                        "--lambda", "0.1") == 2
+
+
+def named_in_error(shape: str) -> str:
+    return "not a JSON document" if shape == "not-json" else shape.split("-", 1)[1]
+
+
+def malformed(document: dict, shape: str) -> str:
+    """The text of a model file broken in the way ``shape`` names."""
+    if shape == "not-json":
+        return json.dumps(document)[:-1]
+    doc = dict(document)
+    if shape.startswith("no-"):
+        del doc[shape[3:]]
+    else:                               # "bad-<key>": a value of the wrong size
+        key = shape[4:]
+        doc[key] = doc[key][:-1]
+    return json.dumps(doc)
+
+
+REP_SHAPES = ["not-json", "no-kernel_y", "bad-W"]
+
+
+class TestMalformedModelFiles:
+    """A broken model file is an input error (exit 2) naming the file and
+    the key, not a traceback."""
+
+    @pytest.fixture
+    def run_dir(self, duffing_cfg_file, tmp_path):
+        out = tmp_path / "run"
+        assert run_cli("learn", "--config", duffing_cfg_file, "--out", out) == 0
+        return out
+
+    @pytest.mark.parametrize("shape", REP_SHAPES)
+    def test_koopman_model(self, run_dir, capsys, shape):
+        path = run_dir / "model.json"
+        path.write_text(malformed(json.loads(path.read_text()), shape))
+        assert run_cli("koopman", "--model", path, "--out", run_dir / "k") == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and named_in_error(shape) in err
+        assert not (run_dir / "k").exists()
+
+    @pytest.mark.parametrize("shape", REP_SHAPES)
+    def test_compare_checkpoint(self, run_dir, capsys, shape):
+        path = run_dir / "checkpoint_6.json"
+        path.write_text(malformed(json.loads(path.read_text()), shape))
+        run_cli("simulate", "--config", run_dir.parent / "cfg.json", "--out", run_dir)
+        assert run_cli("compare", "--run-dir", run_dir, "--oracle", "batch",
+                       "--stream", run_dir / "stream.csv", "--lambda", "0.01") == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and named_in_error(shape) in err
+        assert not (run_dir / "convergence.csv").exists()
+
+    @pytest.mark.parametrize("shape", ["not-json", "no-joint", "bad-joint"])
+    def test_finite_chain_model_path(self, tmp_path, capsys, shape):
+        model = FiniteSpaceModel.from_chain(np.array([[0.], [1.]]),
+                                            np.array([[0.5, 0.5], [0.5, 0.5]]))
+        (tmp_path / "chain.json").write_text(malformed(model.to_dict(), shape))
+        cfg = duffing_config()
+        cfg["stream"]["source"] = {"kind": "finite_chain", "model_path": "chain.json",
+                                   "n_samples": 10, "seed": 0}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        out = tmp_path / "run"
+        assert run_cli("learn", "--config", tmp_path / "cfg.json", "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "chain.json" in err and named_in_error(shape) in err
+        assert not out.exists()
 
 
 class TestCliSchema:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from cmestream import (GramCache, InputError, Kernel, NumericalError,
                        cross_gram, eval_kernel, gram_matrix,
                        inverse_with_jitter, woodbury_append)
+from conftest import run_child
 
 finite_vec = st.lists(st.floats(-5, 5, allow_nan=False), min_size=2, max_size=2)
 
@@ -46,6 +47,14 @@ class TestKernelEval:
     def test_gaussian_needs_bandwidth(self):
         with pytest.raises(InputError):
             Kernel(family="gaussian")
+
+    @pytest.mark.parametrize("make", [
+        lambda: Kernel.gaussian(np.nan), lambda: Kernel.gaussian(np.inf),
+        lambda: Kernel.linear(np.nan), lambda: Kernel.linear(np.inf),
+    ], ids=["gaussian-nan", "gaussian-inf", "linear-nan", "linear-inf"])
+    def test_non_finite_bandwidth_or_bound_rejected(self, make):
+        with pytest.raises(InputError):
+            make()
 
     def test_custom_kernel(self):
         k = Kernel.custom(lambda A, B: A @ B.T + 1.0, bound=10.0)
@@ -129,6 +138,13 @@ class TestInverseWithJitter:
         # negative definite: no jitter within the cap can fix it
         with pytest.raises(NumericalError):
             inverse_with_jitter(-np.eye(3), 1e-10)
+
+    def test_nan_jitter_scale_rejected(self, tmp_path):
+        # a NaN never passes the escalation cap: a child process turns a hang
+        # into a timeout
+        proc = run_child(tmp_path, "-c", "import numpy as np; from cmestream import "
+                         "inverse_with_jitter; inverse_with_jitter(np.eye(2), np.nan)")
+        assert "InputError: jitter_scale must be nonnegative and finite" in proc.stderr
 
     def test_asymmetric_rejected(self):
         with pytest.raises(InputError):
@@ -234,6 +250,25 @@ class TestGramCache:
         assert cache.find(np.array([-0.0, 0.0])) == 1     # signed zeros merge
         assert cache.find([2.0, 1.0]) is None
         assert cache.find([1.0]) is None
+
+    @pytest.mark.parametrize("bandwidth", [1e-3, 1e3])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_gaussian_kernel_vector_bitwise_cross_gram(self, rng, dim, bandwidth):
+        kernel = Kernel.gaussian(bandwidth)
+        query = rng.uniform(-1, 1, dim)
+        query[0] = -0.0
+        near = query + bandwidth * rng.normal(0, 1, (20, dim))   # values off 0 and 1
+        signed = np.zeros((2, dim))
+        signed[1] = -0.0
+        pts = np.vstack([near, rng.uniform(-1, 1, (10, dim)), signed, query])
+        cache = GramCache(kernel)
+        for p in pts:
+            cache.append(p)
+        for q in (query, np.zeros(dim), -np.zeros(dim), pts[3]):
+            kv = cache.kernel_vector(q)
+            assert np.array_equal(kv.view(np.int64),
+                                  cross_gram(kernel, pts, q[None, :])[:, 0].view(np.int64))
+        assert np.array_equal(cache.G, gram_matrix(kernel, pts))
 
     def test_composed_woodbury_property(self, gauss05, rng):
         # bordered updates composed n times equal the direct inverse, n <= 50

@@ -3,7 +3,7 @@ import pytest
 
 from cmestream import (CapacityError, ConfigError, ConstantBudget, ConstantStep,
                        CubicBudget, Dictionary, DuffingTrajectories, FiniteChainStream,
-                       FiniteSpaceModel, InputError, Kernel, LearnerConfig,
+                       FiniteSpaceModel, GramCache, InputError, Kernel, LearnerConfig,
                        OperatorRep, PolynomialStep, QuadraticBudget, StreamSpec,
                        ZeroBudget, compression_delta, eval_kernel,
                        generate_stream, gram_matrix, hs_distance, hs_norm,
@@ -50,6 +50,18 @@ class TestConfigValidation:
             make_cfg(gauss03, budget=ConstantBudget(-0.1))
         with pytest.raises(ConfigError):
             make_cfg(gauss03, budget=QuadraticBudget(0.0))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["jitter_scale", "eps", "b_cmp", "t0", "p"])
+    def test_non_finite_setting_rejected(self, gauss03, field, value):
+        sched = PolynomialStep(0.2, value if field == "t0" else 50.0,
+                               value if field == "p" else 1.0)
+        budget = {"eps": ConstantBudget(value),
+                  "b_cmp": CubicBudget(value)}.get(field, ZeroBudget())
+        jitter = value if field == "jitter_scale" else 1e-10
+        with pytest.raises(ConfigError):
+            LearnerConfig(lam=0.1, step_schedule=sched, budget_schedule=budget,
+                          kernel_x=gauss03, kernel_y=gauss03, jitter_scale=jitter)
 
     def test_schedule_values(self, gauss03):
         cfg = LearnerConfig(lam=0.1, step_schedule=PolynomialStep(0.2, 50, 1.0),
@@ -569,6 +581,27 @@ class TestGramFactorHealth:
         assert state.gram_x.jitter == pytest.approx(1e-10, rel=1e-12)
         assert state.gram_y.jitter == pytest.approx(1e-10, rel=1e-12)
         assert state.dict_size <= 600
+        # G u = r - jitter u is least exact on this badly conditioned run
+        assert state.hs_norm == pytest.approx(hs_norm(state.rep), rel=1e-9)
+
+    def test_admit_factor_row_matches_fresh_append(self):
+        # the admit reuses the test's R k_x; the factor must equal one grown
+        # by fresh rows over the same atoms (capacity grows 16 -> 32 -> 64)
+        kernel = Kernel.gaussian(0.3)
+        xs, ys = generate_stream(StreamSpec(source=DuffingTrajectories(
+            n_traj=40, steps_per_traj=10, seed=1)))
+        cfg = LearnerConfig(lam=1.2e-3, step_schedule=ConstantStep(0.2),
+                            budget_schedule=CubicBudget(2.0),
+                            kernel_x=kernel, kernel_y=kernel)
+        state = run_stream(cfg, zip(xs, ys))[0]
+        assert state.dict_size > 32
+        fresh = GramCache(kernel, cfg.jitter_scale)
+        fresh.append(state.gram_x.points[0])
+        fresh.inverse()                 # the learner factors at its first test
+        for p in state.gram_x.points[1:]:
+            fresh.append(p)
+        assert fresh.jitter == state.gram_x.jitter
+        assert np.array_equal(fresh._factor_view(), state.gram_x._factor_view())
 
     @pytest.mark.parametrize("eps", [1e-3, 0.05])
     @pytest.mark.parametrize("bandwidth,pairs", [
