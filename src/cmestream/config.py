@@ -217,10 +217,17 @@ def build_learner_config(data: dict) -> LearnerConfig:
 
 
 def read_stream_csv(path, dim_x: int, dim_y: int):
-    rows = np.loadtxt(path, delimiter=",", ndmin=2)
+    """The stream CSV's ``(xs, ys)``; a malformed or non-finite value, or a
+    wrong column count, raises ``InputError`` naming the file."""
+    try:
+        rows = np.loadtxt(path, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise InputError(f"stream CSV {path}: {exc}") from exc
     if rows.shape[1] != dim_x + dim_y:
-        raise InputError(
-            f"stream CSV has {rows.shape[1]} columns, expected {dim_x + dim_y}")
+        raise InputError(f"stream CSV {path} has {rows.shape[1]} columns, "
+                         f"expected {dim_x + dim_y}")
+    if not np.isfinite(rows).all():
+        raise InputError(f"stream CSV {path} contains non-finite values")
     return rows[:, :dim_x], rows[:, dim_x:]
 
 

@@ -248,8 +248,10 @@ def woodbury_append(G_inv, new_column, new_diag: float) -> np.ndarray:
 class GramCache:
     """Append-only Gram matrix over dictionary points with a lazy inverse factor.
 
-    The kernel matrix grows one point at a time inside a capacity-doubling
-    buffer.  Its jittered inverse is held as a lower-triangular factor ``R``
+    The points grow one at a time inside a capacity-doubling buffer.  The
+    Gram buffer is built on first read of ``G`` and then kept current by
+    appends; a cache whose ``G`` is never read never holds one.  Its
+    jittered inverse is held as a lower-triangular factor ``R``
     with ``R (G + jitter*I) R^T = I``, materialized when first needed and
     then grown by one row per append: with ``l = R k`` and the pivot^2
     ``s = diag + jitter - l.l`` (the approximate-linear-dependence
@@ -262,8 +264,9 @@ class GramCache:
     The cache also owns each point's checks (``_point``) and identity:
     ``find`` looks a point up in an index from its bytes to its first row.
 
-    Single-writer: appends must come from one thread; reads of published
-    views are safe afterwards.
+    Single-writer: appends, and the first read of ``G`` that builds its
+    buffer, must come from one thread; reads of published views are safe
+    afterwards.
     """
 
     def __init__(self, kernel: Kernel, jitter_scale: float = DEFAULT_JITTER_SCALE):
@@ -285,9 +288,24 @@ class GramCache:
 
     @property
     def G(self) -> np.ndarray:
-        if self._G is None:
+        """The Gram matrix; its buffer is built on first read."""
+        if self.size == 0:
             return np.zeros((0, 0))
+        if self._G is None:
+            cap = self._pts.shape[0]
+            self._G = self._gram(self.size, np.empty((cap, cap)))
         return self._G[: self.size, : self.size]
+
+    def _gram(self, n: int, out: np.ndarray) -> np.ndarray:
+        """Write the leading n x n Gram into ``out``, entry for entry what
+        ``append`` writes: column j is ``kernel_vector`` of point j against
+        points 0..j-1, the diagonal is ``self_kernel``."""
+        for j in range(n):
+            p = self._pts[j:j + 1]
+            if j:
+                out[:j, j] = out[j, :j] = self._kvec(self._pts[:j], p)
+            out[j, j] = self_kernel(self.kernel, p)
+        return out
 
     def _point(self, point) -> np.ndarray:
         """``point`` as a finite 1 x dim array of the cached points' dim."""
@@ -303,7 +321,9 @@ class GramCache:
         p = self._point(point)
         if self.size == 0:
             return np.zeros(0)
-        pts = self._pts[: self.size]
+        return self._kvec(self._pts[: self.size], p)
+
+    def _kvec(self, pts: np.ndarray, p: np.ndarray) -> np.ndarray:
         if self.kernel.family == "gaussian":  # _pairwise's arithmetic, no 3-d broadcast
             diff = pts - p
             sq = np.einsum("ij,ij->i", diff, diff)
@@ -316,19 +336,19 @@ class GramCache:
         return self._index.get(key)
 
     def _grow(self, need: int):
-        cap = 0 if self._G is None else self._G.shape[0]
+        cap = self._pts.shape[0]
         if need <= cap:
             return
         new_cap = max(16, cap)
         while new_cap < need:
             new_cap *= 2
-        dim = self._pts.shape[1] if self._pts is not None else 0
-        new_pts = np.empty((new_cap, dim))
-        new_G = np.empty((new_cap, new_cap))
-        if self.size:
-            new_pts[: self.size] = self._pts[: self.size]
+        new_pts = np.empty((new_cap, self._pts.shape[1]))
+        new_pts[: self.size] = self._pts[: self.size]
+        self._pts = new_pts
+        if self._G is not None:
+            new_G = np.empty((new_cap, new_cap))
             new_G[: self.size, : self.size] = self._G[: self.size, : self.size]
-        self._pts, self._G = new_pts, new_G
+            self._G = new_G
         if self._R is not None:
             new_R = np.zeros((new_cap, new_cap))
             new_R[: self.size, : self.size] = self._R[: self.size, : self.size]
@@ -336,7 +356,8 @@ class GramCache:
 
     def append(self, point, kvec: Optional[np.ndarray] = None, diag: Optional[float] = None,
                parts: Optional[tuple] = None):
-        """Add a point; ``kvec``, ``diag`` and ``parts = solve_parts(kvec)`` may be given."""
+        """Add a point.  ``kvec = kernel_vector(point)``, ``diag = self_kernel``
+        of it and ``parts = solve_parts(kvec)`` may be passed in when known."""
         p = self._point(point)
         if self._pts is None:
             self._pts = np.empty((0, p.shape[1]))
@@ -348,9 +369,10 @@ class GramCache:
         self._grow(d + 1)
         self._pts[d] = p[0]
         self._index.setdefault((p[0] + 0.0).tobytes(), d)   # + 0.0: -0.0 -> 0.0
-        self._G[:d, d] = kvec
-        self._G[d, :d] = kvec
-        self._G[d, d] = diag
+        if self._G is not None:
+            self._G[:d, d] = kvec
+            self._G[d, :d] = kvec
+            self._G[d, d] = diag
         if self._R is not None:
             self._append_row(d, kvec, diag, parts)
         self.size = d + 1
@@ -366,10 +388,11 @@ class GramCache:
         self._R[d, d] = 1.0 / root
 
     def _factor(self, n: int):
-        """Factor the leading n x n Gram from scratch into the R buffer."""
-        R, self.jitter = _inverse_factor(self._G[:n, :n], self.jitter_scale)
+        """Factor the leading n x n Gram, built from the points, into the R buffer."""
+        R, self.jitter = _inverse_factor(self._gram(n, np.empty((n, n))), self.jitter_scale)
         if self._R is None:
-            self._R = np.zeros_like(self._G)
+            cap = self._pts.shape[0]
+            self._R = np.zeros((cap, cap))
         self._R[:n, :n] = R
 
     def _factor_view(self) -> np.ndarray:

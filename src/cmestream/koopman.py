@@ -20,6 +20,8 @@ from .operator import Dictionary, OperatorRep
 
 RESIDUAL_RTOL = 1e-6
 _REAL_TOL = 1e-10
+# kernel values per query block of eval_eigenfunction
+_EVAL_BLOCK = 2 ** 16
 
 
 def koopman_matrix(U: OperatorRep) -> np.ndarray:
@@ -105,7 +107,12 @@ def koopman_spectrum(U: OperatorRep, k: int = 5) -> KoopmanSpectrum:
 
 
 def eval_eigenfunction(spec: KoopmanSpectrum, index: int, points) -> np.ndarray:
-    """phi(p) = sum_i v_i k(x_i, p) for each query point."""
+    """phi(p) = sum_i v_i k(x_i, p) for each query point.
+
+    The query points are taken in row blocks of about ``_EVAL_BLOCK`` kernel
+    values, so memory stays bounded whatever the number of points; the real
+    and imaginary parts of v are applied separately to each real block.
+    """
     if not (0 <= index < len(spec)):
         raise InputError(f"eigenfunction index {index} out of range")
     if spec.source_dict is None or spec.kernel is None:
@@ -113,8 +120,18 @@ def eval_eigenfunction(spec: KoopmanSpectrum, index: int, points) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != spec.source_dict.dim_x:
         raise InputError("point dimension does not match dictionary")
-    K = cross_gram(spec.kernel, pts, spec.source_dict.xs)
-    return K @ spec.eigenvectors[:, index]
+    if pts.shape[0] == 0:
+        raise InputError("points must be a nonempty list of points")
+    xs = spec.source_dict.xs
+    v = spec.eigenvectors[:, index]
+    vr, vi = v.real.copy(), v.imag.copy()
+    out = np.empty(pts.shape[0], dtype=complex)
+    rows = max(1, _EVAL_BLOCK // xs.shape[0])
+    for start in range(0, pts.shape[0], rows):
+        K = cross_gram(spec.kernel, pts[start:start + rows], xs)
+        out.real[start:start + rows] = K @ vr
+        out.imag[start:start + rows] = K @ vi
+    return out
 
 
 @dataclass(frozen=True)

@@ -250,6 +250,19 @@ class TestCliLearn:
         assert run_cli("learn", "--config", tmp_path / "cfg.json", "--out", out) == 0
         assert len((out / "trace.csv").read_text().strip().splitlines()) == 6
 
+    @pytest.mark.parametrize("row", ["0.1,0.2,abc,0.4", "0.1,nan,0.3,0.4",
+                                     "0.1,0.2,0.3,-inf"])
+    def test_bad_csv_value_writes_nothing(self, tmp_path, capsys, row):
+        (tmp_path / "s.csv").write_text("0.5,0.5,0.5,0.5\n" + row + "\n")
+        cfg = duffing_config()
+        cfg["stream"]["source"] = {"kind": "csv", "path": "s.csv",
+                                   "dim_x": 2, "dim_y": 2}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert run_cli("learn", "--config", tmp_path / "cfg.json", "--out", out) == 2
+        assert "s.csv" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_budget_squared_flag_changes_decisions(self, tmp_path):
         cfg = duffing_config(n_traj=2, steps=10,
                              budget={"kind": "constant", "eps": 0.05})

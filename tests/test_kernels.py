@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from cmestream import (GramCache, InputError, Kernel, NumericalError,
                        cross_gram, eval_kernel, gram_matrix,
                        inverse_with_jitter, woodbury_append)
+from cmestream.kernels import _inverse_factor
 from conftest import run_child
 
 finite_vec = st.lists(st.floats(-5, 5, allow_nan=False), min_size=2, max_size=2)
@@ -282,3 +285,86 @@ class TestGramCache:
         direct = np.linalg.solve(A, np.eye(50))
         err = np.linalg.norm(cache.inverse() - direct) / np.linalg.norm(direct)
         assert err <= 1e-8
+
+
+def _l1_laplace(a, b):
+    # symmetric bitwise: |a - b| == |b - a| and the same summation order
+    return np.exp(-np.abs(a[:, None, :] - b[None, :, :]).sum(axis=2))
+
+
+GRAM_KERNELS = {
+    "gaussian-1d": (Kernel.gaussian(0.5), 1),
+    "gaussian-2d": (Kernel.gaussian(0.5), 2),
+    "gaussian-3d": (Kernel.gaussian(0.5), 3),
+    "linear": (Kernel.linear(9.0), 3),
+    "custom": (Kernel.custom(_l1_laplace, 1.0), 2),
+}
+
+
+def _gram_points(rng, dim, n=40):
+    pts = rng.uniform(-1, 1, (n, dim))
+    pts[5] = pts[2]                     # an exact duplicate
+    pts[7] = 0.0
+    pts[8] = -0.0                       # signed zeros
+    return pts
+
+
+def _two_caches(kernel, pts, jitter_scale=1e-10):
+    """``read`` keeps its Gram buffer current through appends, as the
+    learner's Y cache does (first read after the first append);
+    ``built`` never reads ``G`` before the end."""
+    read, built = GramCache(kernel, jitter_scale), GramCache(kernel, jitter_scale)
+    for n, p in enumerate(pts):
+        read.append(p)
+        built.append(p)
+        if n == 0:
+            read.G
+    return read, built
+
+
+class TestGramOnDemand:
+    def test_no_gram_buffer_until_read(self, gauss05, rng):
+        pts = rng.uniform(-2, 2, (600, 2))
+        cache = GramCache(gauss05)
+        tracemalloc.start()
+        try:
+            for p in pts:
+                cache.append(p)
+            held = tracemalloc.get_traced_memory()[0]
+            cache.G
+            with_gram = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        square = 1024 ** 2 * 8          # the capacity-1024 Gram buffer
+        assert held < square / 8
+        assert with_gram - held >= square
+
+    @pytest.mark.parametrize("name", list(GRAM_KERNELS))
+    def test_built_gram_bitwise_equals_appended(self, rng, name):
+        kernel, dim = GRAM_KERNELS[name]
+        read, built = _two_caches(kernel, _gram_points(rng, dim))
+        assert np.array_equal(read.G.view(np.int64), built.G.view(np.int64))
+        assert np.array_equal(built.G, built.G.T)
+
+    @pytest.mark.parametrize("name", list(GRAM_KERNELS))
+    def test_first_solve_factor_bitwise(self, rng, name):
+        kernel, dim = GRAM_KERNELS[name]
+        pts = _gram_points(rng, dim)
+        read, built = _two_caches(kernel, pts)
+        rhs = rng.normal(size=len(pts))
+        assert np.array_equal(read.solve(rhs), built.solve(rhs))
+        assert read.jitter == built.jitter
+        assert np.array_equal(read._factor_view(), built._factor_view())
+        if kernel.family == "gaussian":     # the appended Gram is gram_matrix
+            R, jitter = _inverse_factor(gram_matrix(kernel, pts), 1e-10)
+            assert np.array_equal(built._factor_view(), R) and built.jitter == jitter
+
+    def test_refactor_on_degenerate_pivot_bitwise(self, gauss05, rng):
+        pts = rng.uniform(-1, 1, (12, 2))
+        read, built = _two_caches(gauss05, pts[:6], jitter_scale=0.0)
+        for cache in (read, built):
+            cache.inverse()
+            for p in np.vstack([pts[3], pts[6:]]):     # pts[3] repeats: pivot^2 0
+                cache.append(p)
+        assert built.jitter > 0.0 and read.jitter == built.jitter
+        assert np.array_equal(read._factor_view(), built._factor_view())

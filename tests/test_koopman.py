@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from cmestream import (Dictionary, GridSpec, InputError, Kernel,
                        KoopmanSpectrum, NumericalError, OperatorRep,
-                       eigen_spectrum, eval_eigenfunction, eval_kernel,
+                       cross_gram, eigen_spectrum, eval_eigenfunction, eval_kernel,
                        grid_eval, gram_matrix, koopman_matrix,
                        koopman_spectrum)
 from conftest import random_rep
@@ -150,6 +152,47 @@ class TestEvalEigenfunction:
         combo = spec.eigenvectors[:, 0] + spec.eigenvectors[:, 1]
         K = np.array([[eval_kernel(gauss05, xi, p) for xi in xs] for p in pts])
         assert np.allclose(K @ combo, f0 + f1, atol=1e-12)
+
+
+class TestBlockedEvaluation:
+    """``eval_eigenfunction`` takes the query points in bounded blocks."""
+
+    @staticmethod
+    def spectrum(kernel, rng, d, k=2):
+        xs = rng.uniform(-2, 2, (d, 2))
+        vecs = rng.normal(size=(d, k)) + 1j * rng.normal(size=(d, k))
+        vecs[:, 1] = vecs[:, 1].real            # one real eigenvector
+        return KoopmanSpectrum(eigenvalues=np.ones(k, dtype=complex),
+                               eigenvectors=vecs, residuals=np.zeros(k),
+                               source_dict=Dictionary(xs, xs.copy()), kernel=kernel)
+
+    def test_traced_peak_below_quarter_of_complex_gram(self, gauss05, rng):
+        spec = self.spectrum(gauss05, rng, 600)
+        pts = rng.uniform(-2, 2, (1600, 2))
+        tracemalloc.start()
+        try:
+            eval_eigenfunction(spec, 0, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1600 * 600 * 16 / 4
+
+    @pytest.mark.parametrize("n", [1, 109, 110, 1600])
+    def test_blocks_match_full_product(self, gauss05, rng, n):
+        # d = 600 gives 109-row blocks
+        spec = self.spectrum(gauss05, rng, 600)
+        pts = rng.uniform(-2, 2, (n, 2))
+        K = cross_gram(gauss05, pts, spec.source_dict.xs)
+        for i in range(2):
+            want = K @ spec.eigenvectors[:, i]
+            got = eval_eigenfunction(spec, i, pts)
+            assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+        assert np.array_equal(eval_eigenfunction(spec, 1, pts).imag, np.zeros(n))
+
+    def test_no_points_rejected(self, gauss05, rng):
+        spec = self.spectrum(gauss05, rng, 5)
+        with pytest.raises(InputError):
+            eval_eigenfunction(spec, 0, np.zeros((0, 2)))
 
 
 class TestGridEval:
