@@ -15,6 +15,7 @@ import glob
 import json
 import os
 import re
+import shutil
 import sys
 
 
@@ -22,6 +23,16 @@ def _float_repr(v) -> str:
     if v != v:     # nan
         return "nan"
     return repr(float(v))
+
+
+def _checkpoint_files(run_dir) -> list:
+    """Sorted ``(t, path)`` of the ``checkpoint_<t>.json`` files in ``run_dir``."""
+    found = []
+    for path in glob.glob(os.path.join(run_dir, "checkpoint_*.json")):
+        m = re.match(r"checkpoint_(\d+)\.json$", os.path.basename(path))
+        if m:
+            found.append((int(m.group(1)), path))
+    return sorted(found)
 
 
 def _write_json(path, payload):
@@ -51,18 +62,21 @@ def cmd_learn(args) -> int:
     from .config import build_learner_config, build_stream, load_config
     from .errors import ConfigError
     from .learner import new_state, step
-    from .operator import rep_to_dict
+    from .operator import save_rep
 
     cfg_data = load_config(args.config)
     base = os.path.dirname(os.path.abspath(args.config))
     out_dir = args.out or cfg_data.get("outputs", {}).get("dir", ".")
     cfg = build_learner_config(cfg_data)
     xs, ys = build_stream(cfg_data, base_dir=base, seed=args.seed)
-    checkpoints = sorted(set(cfg_data.get("analysis", {}).get("checkpoints", [])))
-    if checkpoints and checkpoints[-1] > len(xs):
-        raise ConfigError(f"checkpoint {checkpoints[-1]} is past the end of the "
+    checkpoints = set(cfg_data.get("analysis", {}).get("checkpoints", []))
+    if checkpoints and max(checkpoints) > len(xs):
+        raise ConfigError(f"checkpoint {max(checkpoints)} is past the end of the "
                           f"{len(xs)}-sample stream")
     os.makedirs(out_dir, exist_ok=True)
+    # every earlier checkpoint goes, so a run that fails midway leaves only its own
+    for _, path in _checkpoint_files(out_dir):
+        os.remove(path)
 
     state = new_state(cfg)
     trace_path = os.path.join(out_dir, "trace.csv")
@@ -78,12 +92,16 @@ def cmd_learn(args) -> int:
                     str(rec.dict_size), _float_repr(rec.hs_norm),
                 ]) + "\n")
                 if rec.t in checkpoints:
-                    _write_json(os.path.join(out_dir, f"checkpoint_{rec.t}.json"),
-                                rep_to_dict(state.snapshot_rep()))
+                    save_rep(state.snapshot_rep(),
+                             os.path.join(out_dir, f"checkpoint_{rec.t}.json"))
         except Exception:
             trace.flush()
             raise
-    _write_json(os.path.join(out_dir, "model.json"), rep_to_dict(state.snapshot_rep()))
+    model_path = os.path.join(out_dir, "model.json")
+    if state.t in checkpoints:      # the last step's snapshot is already on disk
+        shutil.copyfile(os.path.join(out_dir, f"checkpoint_{state.t}.json"), model_path)
+    else:
+        save_rep(state.snapshot_rep(), model_path)
     print(f"processed {state.t} samples; final dictionary size {state.dict_size}")
     return 0
 
@@ -97,7 +115,8 @@ def cmd_koopman(args) -> int:
     spec = koopman_spectrum(rep, args.k)
     grid = GridSpec(mins=tuple(args.grid_min), maxs=tuple(args.grid_max),
                     counts=tuple(args.grid_counts))
-    fields = args.fields if args.fields is not None else list(range(len(spec)))
+    fields = args.fields if args.fields is not None else range(len(spec))
+    fields = list(dict.fromkeys(fields))        # each index once, in the order given
     for idx in fields:
         if not 0 <= idx < len(spec):
             raise InputError(f"eigenfunction index {idx} out of range")
@@ -140,12 +159,7 @@ def cmd_compare(args) -> int:
     run_dir = args.run_dir
     model_path = os.path.join(run_dir, "model.json")
     final = load_rep(model_path)
-    checkpoints = []
-    for path in glob.glob(os.path.join(run_dir, "checkpoint_*.json")):
-        m = re.match(r"checkpoint_(\d+)\.json$", os.path.basename(path))
-        if m:
-            checkpoints.append((int(m.group(1)), load_rep(path)))
-    checkpoints.sort(key=lambda kv: kv[0])
+    checkpoints = [(t, load_rep(path)) for t, path in _checkpoint_files(run_dir)]
     if not checkpoints:
         raise InputError(f"no checkpoint_<t>.json files found in {run_dir}")
 

@@ -232,9 +232,10 @@ def read_stream_csv(path, dim_x: int, dim_y: int):
 
 
 def write_stream_csv(path, xs: np.ndarray, ys: np.ndarray):
+    rows = np.hstack([xs, ys], dtype=float).tolist()
     with open(path, "w") as fh:
-        for x, y in zip(xs, ys):
-            fh.write(",".join(repr(float(v)) for v in list(x) + list(y)) + "\n")
+        for row in rows:
+            fh.write(",".join(map(float.__repr__, row)) + "\n")
 
 
 def build_stream(data: dict, base_dir: str = ".", seed: Optional[int] = None):

@@ -268,9 +268,24 @@ def rep_from_dict(data: dict) -> OperatorRep:
     return OperatorRep(dict=Dictionary(xs, ys), W=W, kernel_x=kx, kernel_y=ky)
 
 
+def _floats(row) -> str:
+    """A float row's JSON items, as ``json.dumps`` formats them."""
+    return ", ".join(map(float.__repr__, row.tolist()))
+
+
 def save_rep(U: OperatorRep, path):
+    """Write ``U`` to ``path`` as one compact JSON line, byte-for-byte
+    ``json.dumps(rep_to_dict(U))``.  W goes out one row at a time, so the
+    writer never holds the whole document, or all of W as Python floats."""
+    kx, ky = json.dumps(U.kernel_x.to_dict()), json.dumps(U.kernel_y.to_dict())
     with open(path, "w") as fh:
-        json.dump(rep_to_dict(U), fh)
+        fh.write(f'{{"kernel_x": {kx}, "kernel_y": {ky}, "dict": [')
+        for i, (x, y) in enumerate(zip(U.dict.xs, U.dict.ys)):
+            fh.write(f"{', ' if i else ''}[[{_floats(x)}], [{_floats(y)}]]")
+        fh.write('], "W": [')
+        for i, row in enumerate(U.W):
+            fh.write(f"{', ' if i else ''}[{_floats(row)}]")
+        fh.write(f'], "dim_x": {U.dict.dim_x}, "dim_y": {U.dict.dim_y}}}')
 
 
 def load_rep(path) -> OperatorRep:

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from cmestream import (ConfigError, ConstantStep, FiniteSpaceModel, Kernel,
-                       PolynomialStep, QuadraticBudget, ZeroBudget)
+                       PolynomialStep, QuadraticBudget, ZeroBudget, load_rep,
+                       run_stream, save_rep)
 from cmestream.cli import main
 from cmestream.config import (CONFIG_SCHEMA, build_learner_config, build_stream,
                               load_config, read_stream_csv, validate_config,
@@ -150,6 +151,20 @@ class TestBuilders:
         xs2, ys2 = read_stream_csv(path, 2, 2)
         assert np.array_equal(xs, xs2) and np.array_equal(ys, ys2)
 
+    def test_stream_csv_bytes_pinned(self, tmp_path, rng):
+        xs = rng.normal(size=(50, 2))
+        ys = rng.uniform(-1e3, 1e3, (50, 3))
+        xs[0] = [-0.0, 1e-308]
+        ys[0] = [1e300, 5e-324, 0.1 + 0.2]
+        write_stream_csv(tmp_path / "s.csv", xs, ys)
+        assert (tmp_path / "s.csv").read_text() == stream_csv_reference(xs, ys)
+
+
+def stream_csv_reference(xs, ys) -> str:
+    """The per-value formatter the stream CSV writer must match byte for byte."""
+    return "".join(",".join(repr(float(v)) for v in list(x) + list(y)) + "\n"
+                   for x, y in zip(xs, ys))
+
 
 def run_cli(*args):
     return main([str(a) for a in args])
@@ -197,6 +212,22 @@ class TestCliLearn:
         assert len(model["dict"]) == 12      # zero budget admits everything
         assert (out / "checkpoint_2.json").exists()
         assert (out / "checkpoint_6.json").exists()
+
+    @pytest.mark.parametrize("checkpoints", [[2, 6], [2, 12]])
+    def test_model_file_is_save_rep_of_library_run(self, tmp_path, checkpoints):
+        cfg_data = duffing_config(budget={"kind": "cubic", "b_cmp": 2.0},
+                                  checkpoints=checkpoints)
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg_data))
+        out = tmp_path / "run"
+        assert run_cli("learn", "--config", tmp_path / "cfg.json", "--out", out) == 0
+        xs, ys = build_stream(cfg_data)
+        state, _ = run_stream(build_learner_config(cfg_data), zip(xs, ys))
+        save_rep(state.snapshot_rep(), tmp_path / "ref.json")
+        model = (out / "model.json").read_bytes()
+        assert model == (tmp_path / "ref.json").read_bytes()
+        if state.t in checkpoints:
+            assert model == (out / f"checkpoint_{state.t}.json").read_bytes()
+        assert np.array_equal(load_rep(out / "model.json").W, state.coefficients)
 
     def test_checkpoint_past_stream_end_rejected(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
@@ -296,6 +327,7 @@ class TestCliKoopman:
     @pytest.mark.parametrize("flags", [
         ("--k", 3, "--fields", 5),
         ("--fields", "0,7"),
+        ("--fields", "0,0,7"),
         ("--grid-counts", "1,1"),
     ])
     def test_flag_error_writes_nothing(self, duffing_cfg_file, tmp_path, flags):
@@ -305,6 +337,15 @@ class TestCliKoopman:
                        "--out", out, *flags) == 2
         assert not (out / "spectrum.json").exists()
         assert not list(out.glob("eigfield_*.csv"))
+
+    def test_duplicate_fields_evaluated_once(self, duffing_cfg_file, tmp_path, capsys):
+        run_cli("learn", "--config", duffing_cfg_file, "--out", tmp_path / "run")
+        out = tmp_path / "koopman"
+        assert run_cli("koopman", "--model", tmp_path / "run" / "model.json", "--k", 3,
+                       "--grid-counts", "5,5", "--fields", "2,0,2,0", "--out", out) == 0
+        assert "and 2 field grids" in capsys.readouterr().out
+        assert sorted(p.name for p in out.glob("eigfield_*.csv")) == [
+            "eigfield_0.csv", "eigfield_2.csv"]
 
     def test_zero_model_degenerate_flag(self, tmp_path, gauss03, rng):
         from cmestream import Dictionary, OperatorRep, save_rep
@@ -339,6 +380,23 @@ class TestCliCompare:
         assert len(rows) == 3
         ts = [int(r.split(",")[0]) for r in rows[1:]]
         assert ts == [2, 6]
+
+    def test_earlier_run_checkpoints_cleared(self, tmp_path):
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        first.write_text(json.dumps(duffing_config(n_traj=30, steps=10,
+                                                   checkpoints=[100, 300])))
+        second.write_text(json.dumps(duffing_config(n_traj=20, steps=10,
+                                                    checkpoints=[50, 200])))
+        out = tmp_path / "run"
+        assert run_cli("learn", "--config", first, "--out", out) == 0
+        assert run_cli("learn", "--config", second, "--out", out) == 0
+        assert run_cli("simulate", "--config", second, "--out", out) == 0
+        assert run_cli("compare", "--run-dir", out, "--oracle", "batch",
+                       "--stream", out / "stream.csv", "--lambda", "0.01") == 0
+        rows = (out / "convergence.csv").read_text().strip().splitlines()[1:]
+        assert [int(r.split(",")[0]) for r in rows] == [50, 200]
+        assert sorted(p.name for p in out.glob("checkpoint_*.json")) == [
+            "checkpoint_200.json", "checkpoint_50.json"]
 
     def test_exact_oracle(self, tmp_path):
         pi = np.array([0.5, 0.3, 0.2])

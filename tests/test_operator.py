@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -196,6 +197,15 @@ class TestPropagateKme:
             propagate_kme(rep, KmeWeights(np.zeros((2, 3)), np.ones(2)))
 
 
+def awkward_rep(kernel, signed_zeros=False):
+    xs = np.array([[1e-308, 0.1 + 0.2], [3.0, -1.2345678901234567]])
+    ys = np.array([[np.pi, 2.0], [1.0, 1e300]])
+    W = np.array([[0.1, -2e-17], [5e5, 0.3]])
+    if signed_zeros:
+        ys[0, 1], ys[1, 0], W[1, 1] = -0.0, 5e-324, -0.0
+    return OperatorRep(dict=Dictionary(xs, ys), W=W, kernel_x=kernel, kernel_y=kernel)
+
+
 class TestSerialization:
     def test_round_trip_is_bit_faithful(self, gauss03, rng, tmp_path):
         rep = random_rep(rng, gauss03, 5)
@@ -208,14 +218,10 @@ class TestSerialization:
         assert back.kernel_x == rep.kernel_x and back.kernel_y == rep.kernel_y
 
     def test_dict_round_trip_awkward_values(self, gauss03):
-        xs = np.array([[1e-308, 0.1 + 0.2], [3.0, -1.2345678901234567]])
-        ys = np.array([[np.pi, 2.0], [1.0, 1e300]])
-        W = np.array([[0.1, -2e-17], [5e5, 0.3]])
-        rep = OperatorRep(dict=Dictionary(xs, ys), W=W,
-                          kernel_x=gauss03, kernel_y=gauss03)
+        rep = awkward_rep(gauss03)
         back = rep_from_dict(json.loads(json.dumps(rep_to_dict(rep))))
-        assert np.array_equal(back.W, W)
-        assert np.array_equal(back.dict.xs, xs)
+        assert np.array_equal(back.W, rep.W)
+        assert np.array_equal(back.dict.xs, rep.dict.xs)
 
     def test_empty_rep_round_trip(self, gauss03):
         rep = zero_rep(2, 3, gauss03, gauss03)
@@ -223,11 +229,48 @@ class TestSerialization:
         assert len(back) == 0
         assert back.dict.dim_x == 2 and back.dict.dim_y == 3
 
-    def test_custom_kernel_not_serializable(self, rng):
+    def test_custom_kernel_not_serializable(self, rng, tmp_path):
         k = Kernel.custom(lambda A, B: A @ B.T, bound=5.0)
         rep = random_rep(rng, k, 2)
         with pytest.raises(InputError):
             rep_to_dict(rep)
+        with pytest.raises(InputError):
+            save_rep(rep, tmp_path / "model.json")
+        assert not (tmp_path / "model.json").exists()
+
+
+class TestStreamingWriter:
+    """``save_rep`` streams ``json.dumps(rep_to_dict(U))`` row by row."""
+
+    @pytest.mark.parametrize("d, dim_x, dim_y", [(0, 2, 2), (1, 1, 1), (7, 1, 3),
+                                                 (5, 3, 1), (40, 2, 2)])
+    def test_bytes_equal_json_dumps(self, gauss03, rng, tmp_path, d, dim_x, dim_y):
+        xs = rng.uniform(-2, 2, (d, dim_x))
+        ys = rng.normal(size=(d, dim_y))
+        W = rng.normal(size=(d, d)) * 10.0 ** rng.integers(-300, 300, (d, d))
+        rep = OperatorRep(dict=Dictionary(xs, ys), W=W, kernel_x=gauss03,
+                          kernel_y=Kernel.linear(2.5))
+        save_rep(rep, tmp_path / "model.json")
+        assert (tmp_path / "model.json").read_text() == json.dumps(rep_to_dict(rep))
+
+    @pytest.mark.parametrize("make", [awkward_rep,
+                                      lambda k: awkward_rep(k, signed_zeros=True),
+                                      lambda k: zero_rep(0, 0, k, k),
+                                      lambda k: zero_rep(2, 3, k, k)])
+    def test_bytes_equal_json_dumps_edge_cases(self, gauss03, tmp_path, make):
+        rep = make(gauss03)
+        save_rep(rep, tmp_path / "model.json")
+        assert (tmp_path / "model.json").read_text() == json.dumps(rep_to_dict(rep))
+
+    def test_traced_peak_below_coefficient_bytes(self, gauss05, rng, tmp_path):
+        rep = random_rep(rng, gauss05, 600)
+        tracemalloc.start()
+        try:
+            save_rep(rep, tmp_path / "model.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < rep.W.nbytes
 
 
 class TestValidation:
