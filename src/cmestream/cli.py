@@ -74,9 +74,13 @@ def cmd_learn(args) -> int:
         raise ConfigError(f"checkpoint {max(checkpoints)} is past the end of the "
                           f"{len(xs)}-sample stream")
     os.makedirs(out_dir, exist_ok=True)
-    # every earlier checkpoint goes, so a run that fails midway leaves only its own
+    # every earlier checkpoint and model goes, so a run that fails midway
+    # leaves only its own outputs
+    model_path = os.path.join(out_dir, "model.json")
     for _, path in _checkpoint_files(out_dir):
         os.remove(path)
+    if os.path.exists(model_path):
+        os.remove(model_path)
 
     state = new_state(cfg)
     trace_path = os.path.join(out_dir, "trace.csv")
@@ -97,7 +101,6 @@ def cmd_learn(args) -> int:
         except Exception:
             trace.flush()
             raise
-    model_path = os.path.join(out_dir, "model.json")
     if state.t in checkpoints:      # the last step's snapshot is already on disk
         shutil.copyfile(os.path.join(out_dir, f"checkpoint_{state.t}.json"), model_path)
     else:

@@ -2,13 +2,17 @@
 
 A single JSON document drives the CLI.  The schema below is normative and
 the only validation: unknown keys, and keys missing for the chosen kind, are
-rejected so typos fail loudly before any computation.  The builders expect
-a validated document.
+rejected so typos fail loudly before any computation.  This module
+interprets the schema itself (Draft 2020-12, only the keywords it uses), so
+the runtime needs no ``jsonschema``; the tests hold the interpreter to
+``jsonschema`` as the oracle, error for error.  The builders expect a
+validated document.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 import os
 from typing import Optional
 
@@ -160,15 +164,106 @@ CONFIG_SCHEMA = {
     },
 }
 
-def validate_config(data: dict):
-    import jsonschema
 
-    validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
-    errors = sorted(validator.iter_errors(data), key=lambda e: list(e.absolute_path))
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "null": lambda v: v is None,
+    # a bool is not a number, and an integral float is an integer
+    "number": lambda v: isinstance(v, numbers.Number) and not isinstance(v, bool),
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool)
+                          or isinstance(v, float) and v.is_integer()),
+}
+
+
+def _is_type(value, types) -> bool:
+    return any(_TYPES[t](value) for t in ([types] if isinstance(types, str) else types))
+
+
+def _errors(schema: dict, value, path: tuple = ()):
+    """Yield ``(path, message, off_type)`` for each way ``value`` breaks
+    ``schema``, in ``Draft202012Validator.iter_errors`` order and wording.
+
+    Interprets the keywords ``CONFIG_SCHEMA`` uses (``enum`` and ``const``
+    with string values only, ``additionalProperties`` only as false) and
+    ignores the rest.  ``off_type`` is true unless ``schema`` has a
+    ``type`` that ``value`` matches; ``best_match`` prefers such errors.
+    """
+    off_type = not ("type" in schema and _is_type(value, schema["type"]))
+
+    def error(message: str):
+        return path, message, off_type
+
+    for key, arg in schema.items():
+        if key == "type":
+            if not _is_type(value, arg):
+                names = ", ".join(map(repr, [arg] if isinstance(arg, str) else arg))
+                yield error(f"{value!r} is not of type {names}")
+        elif key == "enum":
+            if not (isinstance(value, str) and value in arg):
+                yield error(f"{value!r} is not one of {arg!r}")
+        elif key == "const":
+            if not (isinstance(value, str) and value == arg):
+                yield error(f"{arg!r} was expected")
+        elif key == "allOf":
+            for sub in arg:
+                yield from _errors(sub, value, path)
+        elif key == "if":
+            if "then" in schema and next(_errors(arg, value, path), None) is None:
+                yield from _errors(schema["then"], value, path)
+        elif isinstance(value, dict):
+            if key == "required":
+                for name in arg:
+                    if name not in value:
+                        yield error(f"{name!r} is a required property")
+            elif key == "properties":
+                for name, sub in arg.items():
+                    if name in value:
+                        yield from _errors(sub, value[name], path + (name,))
+            elif key == "additionalProperties":
+                known = schema.get("properties", {})
+                extras = sorted((k for k in value if k not in known), key=str)
+                if extras:
+                    verb = "was" if len(extras) == 1 else "were"
+                    yield error(f"Additional properties are not allowed "
+                                f"({', '.join(map(repr, extras))} {verb} unexpected)")
+            elif key == "propertyNames":
+                for name in value:
+                    yield from _errors(arg, name, path)
+        elif isinstance(value, list):
+            if key == "items":
+                for i, item in enumerate(value):
+                    yield from _errors(arg, item, path + (i,))
+            elif key == "minItems" and len(value) < arg:
+                yield error(f"{value!r} " + ("should be non-empty" if arg == 1
+                                             else "is too short"))
+            elif key == "maxItems" and len(value) > arg:
+                yield error(f"{value!r} " + ("is expected to be empty" if arg == 0
+                                             else "is too long"))
+        elif _TYPES["number"](value):
+            if key == "minimum" and value < arg:
+                yield error(f"{value!r} is less than the minimum of {arg!r}")
+            elif key == "exclusiveMinimum" and value <= arg:
+                yield error(f"{value!r} is less than or equal to the minimum of {arg!r}")
+
+
+def _json_path(path: tuple) -> str:
+    """jsonschema's ``json_path``; every key on a path is a schema property
+    name, so none needs quoting."""
+    return "$" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)
+
+
+def validate_config(data: dict):
+    """Raise ``ConfigError`` naming the error ``jsonschema.best_match``
+    would pick: the shallowest path, then the last sibling path, then an
+    off-type error, first in iteration order on a tie."""
+    errors = sorted(_errors(CONFIG_SCHEMA, data), key=lambda e: e[0])
     if errors:
-        err = jsonschema.exceptions.best_match(errors)
-        where = err.json_path if err.json_path != "$" else "config root"
-        raise ConfigError(f"invalid config at {where}: {err.message}")
+        path, message, _ = max(errors, key=lambda e: (-len(e[0]), e[0], e[2]))
+        where = _json_path(path) if path else "config root"
+        raise ConfigError(f"invalid config at {where}: {message}")
 
 
 def _reject_constant(name: str):

@@ -263,6 +263,20 @@ class TestCliLearn:
         assert "NaN" in proc.stderr and "Traceback" not in proc.stderr
         assert not out.exists()
 
+    def test_failed_run_leaves_no_earlier_model(self, tmp_path):
+        first, capped = tmp_path / "first.json", tmp_path / "capped.json"
+        first.write_text(json.dumps(duffing_config()))
+        cfg = duffing_config()
+        cfg["learner"]["max_dictionary"] = 5
+        capped.write_text(json.dumps(cfg))
+        out = tmp_path / "run"
+        assert run_cli("learn", "--config", first, "--out", out) == 0
+        assert (out / "model.json").exists()
+        assert run_cli("learn", "--config", capped, "--out", out) == 2
+        assert len((out / "trace.csv").read_text().splitlines()) == 1 + 5
+        assert not (out / "model.json").exists()
+        assert run_cli("koopman", "--model", out / "model.json") == 2
+
     def test_learn_deterministic(self, duffing_cfg_file, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         run_cli("learn", "--config", duffing_cfg_file, "--out", out1)

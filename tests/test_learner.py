@@ -615,3 +615,33 @@ class TestGramFactorHealth:
         xs, ys = pairs(rng, 400)
         state, _ = run_stream(cfg, zip(xs, ys))
         assert state.hs_norm == pytest.approx(hs_norm(state.rep), rel=1e-9)
+
+
+class TestLongRuns:
+    """The tracked HS norm stays exact over long streams (1e-9 relative)."""
+
+    def test_chain_1e5_steps(self):
+        # the 3-state chain of acceptance criterion 6, zero budget
+        pi = np.array([0.5, 0.3, 0.2])
+        P = 0.5 * np.outer(np.ones(3), pi) + 0.5 * np.eye(3)
+        model = FiniteSpaceModel.from_chain(np.array([[0.0], [1.0], [2.0]]), P)
+        xs, ys = generate_stream(StreamSpec(source=FiniteChainStream(
+            model=model, n_samples=100_000, burn_in=0, seed=0)))
+        state, _ = run_stream(make_cfg(Kernel.gaussian(0.5), lam=0.1, eta=0.1),
+                              zip(xs, ys))
+        assert state.t == 100_000 and state.dict_size <= 5
+        assert state.hs_norm == pytest.approx(hs_norm(state.rep), rel=1e-9)
+
+    # at lambda*eta = 1 every step decays W to zero; at 1 - 1e-12 the scalar
+    # factor falls below _MIN_FACTOR and is folded into W every few steps.
+    # The first case runs about 13 s, so it is marked longrun.
+    @pytest.mark.parametrize("lam_eta", [pytest.param(1.0, marks=pytest.mark.longrun),
+                                         1 - 1e-12])
+    def test_duffing_1e4_steps_near_total_decay(self, lam_eta):
+        xs, ys = generate_stream(StreamSpec(source=DuffingTrajectories(
+            n_traj=1000, steps_per_traj=10, seed=0)))
+        cfg = make_cfg(Kernel.gaussian(0.3), lam=5.0, eta=lam_eta / 5.0,
+                       budget=CubicBudget(2.0))
+        state, _ = run_stream(cfg, zip(xs, ys))
+        assert state.t == 10_000
+        assert state.hs_norm == pytest.approx(hs_norm(state.rep), rel=1e-9)
