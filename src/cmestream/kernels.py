@@ -11,6 +11,7 @@ that the learner grows by one row per dictionary atom.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -24,6 +25,16 @@ SCHUR_FALLBACK_RTOL = 1e-12
 
 # pairwise-evaluation chunk limit: n*m*dim elements per temporary
 _CHUNK_ELEMS = 2 ** 24
+# spare columns per capacity-buffer row: with power-of-two capacities an
+# unpadded row stride is a multiple of 4 KiB, so every row of a d x d pass
+# would start on the same cache sets
+_ROW_PAD = 8
+
+
+def capacity_buffer(rows: int, cap: int, fill=np.empty) -> np.ndarray:
+    """A ``(rows, cap)`` view of a ``(rows, cap + _ROW_PAD)`` array made by
+    ``fill`` (``np.empty`` or ``np.zeros``)."""
+    return fill((rows, cap + _ROW_PAD))[:, :cap]
 
 
 @dataclass(frozen=True)
@@ -120,6 +131,31 @@ def _pairwise_chunked(kernel: Kernel, rows: np.ndarray, cols: np.ndarray) -> np.
         stop = min(n, start + step)
         out[start:stop] = _pairwise(kernel, rows[start:stop], cols)
     return out
+
+
+@lru_cache(maxsize=None)
+def _sum_schedule(dim: int) -> tuple:
+    """``(row, adds)``: adding row ``src`` into row ``dst`` of a ``dim x n``
+    array for each ``(dst, src)`` of ``adds`` in turn leaves in ``row`` the
+    column sums that ``_pairwise``'s einsum computes, bit for bit.
+
+    numpy adds ``dim`` products in two 128-bit lanes, lane 0 over the even
+    coordinates and lane 1 over the odd ones, whole blocks of eight from
+    the back first and the rest in order; the sum is lane 0 + lane 1.  In
+    dims 1-2 every order agrees; in dim 3 it is ``(x0^2 + x2^2) + x1^2``.
+    """
+    lanes = ([], [])
+    full = dim - dim % 8
+    for start in range(0, full, 8):
+        for k in (start + 6, start + 4, start + 2, start):
+            lanes[0].append(k)
+            lanes[1].append(k + 1)
+    for k in range(full, dim):
+        lanes[k % 2].append(k)
+    adds = [(lane[0], k) for lane in lanes if lane for k in lane[1:]]
+    if lanes[1]:
+        adds.append((lanes[0][0], lanes[1][0]))
+    return lanes[0][0], tuple(adds)
 
 
 def eval_kernel(kernel: Kernel, a, b) -> float:
@@ -261,6 +297,10 @@ class GramCache:
     factorization.  Runs that never solve (pure admission, zero compression
     budget) never pay for the factor.
 
+    The points, the Gram buffer and the factor sit in ``capacity_buffer``
+    views.  The points are held coordinate-major (one row per coordinate),
+    so a kernel vector streams each coordinate row once.
+
     The cache also owns each point's checks (``_point``) and identity:
     ``find`` looks a point up in an index from its bytes to its first row.
 
@@ -274,7 +314,7 @@ class GramCache:
         self.jitter_scale = jitter_scale
         self.jitter = 0.0
         self.size = 0
-        self._pts: Optional[np.ndarray] = None
+        self._pts: Optional[np.ndarray] = None     # dim x capacity
         self._index: dict[bytes, int] = {}     # point bytes -> first row
         self._G: Optional[np.ndarray] = None
         # zero above the diagonal: solves are full mat-vecs over [:size, :size]
@@ -282,9 +322,10 @@ class GramCache:
 
     @property
     def points(self) -> np.ndarray:
+        """The cached points as a C-ordered ``(size, dim)`` array (a copy)."""
         if self._pts is None:
             return np.zeros((0, 0))
-        return self._pts[: self.size]
+        return np.ascontiguousarray(self._pts[:, : self.size].T)
 
     @property
     def G(self) -> np.ndarray:
@@ -292,8 +333,8 @@ class GramCache:
         if self.size == 0:
             return np.zeros((0, 0))
         if self._G is None:
-            cap = self._pts.shape[0]
-            self._G = self._gram(self.size, np.empty((cap, cap)))
+            cap = self._pts.shape[1]
+            self._G = self._gram(self.size, capacity_buffer(cap, cap))
         return self._G[: self.size, : self.size]
 
     def _gram(self, n: int, out: np.ndarray) -> np.ndarray:
@@ -301,9 +342,11 @@ class GramCache:
         ``append`` writes: column j is ``kernel_vector`` of point j against
         points 0..j-1, the diagonal is ``self_kernel``."""
         for j in range(n):
-            p = self._pts[j:j + 1]
+            # a contiguous 1 x dim row, as the appended point was: a linear
+            # kernel's product rounds differently over a strided one
+            p = np.ascontiguousarray(self._pts[:, j])[None, :]
             if j:
-                out[:j, j] = out[j, :j] = self._kvec(self._pts[:j], p)
+                out[:j, j] = out[j, :j] = self._kvec(j, p)
             out[j, j] = self_kernel(self.kernel, p)
         return out
 
@@ -312,7 +355,7 @@ class GramCache:
         p = _as_points(point, "point")
         if p.shape[0] != 1:
             raise InputError("expected a single point")
-        if self._pts is not None and p.shape[1] != self._pts.shape[1]:
+        if self._pts is not None and p.shape[1] != self._pts.shape[0]:
             raise InputError("point dimension does not match cache")
         return p
 
@@ -321,14 +364,24 @@ class GramCache:
         p = self._point(point)
         if self.size == 0:
             return np.zeros(0)
-        return self._kvec(self._pts[: self.size], p)
+        return self._kvec(self.size, p)
 
-    def _kvec(self, pts: np.ndarray, p: np.ndarray) -> np.ndarray:
-        if self.kernel.family == "gaussian":  # _pairwise's arithmetic, no 3-d broadcast
-            diff = pts - p
-            sq = np.einsum("ij,ij->i", diff, diff)
-            return np.exp(-sq / (2.0 * self.kernel.bandwidth ** 2))
-        return _pairwise(self.kernel, pts, p)[:, 0]
+    def _kvec(self, n: int, p: np.ndarray) -> np.ndarray:
+        """Kernel values of the 1 x dim point ``p`` against points 0..n-1."""
+        pts = self._pts[:, :n]
+        if self.kernel.family != "gaussian":
+            return _pairwise(self.kernel, np.ascontiguousarray(pts.T), p)[:, 0]
+        # _pairwise's differences and rounded squares over coordinate rows,
+        # summed in its order
+        sq = pts - p.T
+        sq *= sq
+        row, adds = _sum_schedule(p.shape[1])
+        for dst, src in adds:
+            sq[dst] += sq[src]
+        out = sq[row]
+        np.negative(out, out=out)
+        out /= 2.0 * self.kernel.bandwidth ** 2
+        return np.exp(out, out=out)
 
     def find(self, point) -> Optional[int]:
         """First index whose point ``==`` ``point`` (so -0.0 matches 0.0), or None."""
@@ -336,21 +389,21 @@ class GramCache:
         return self._index.get(key)
 
     def _grow(self, need: int):
-        cap = self._pts.shape[0]
+        cap = self._pts.shape[1]
         if need <= cap:
             return
         new_cap = max(16, cap)
         while new_cap < need:
             new_cap *= 2
-        new_pts = np.empty((new_cap, self._pts.shape[1]))
-        new_pts[: self.size] = self._pts[: self.size]
+        new_pts = capacity_buffer(self._pts.shape[0], new_cap)
+        new_pts[:, : self.size] = self._pts[:, : self.size]
         self._pts = new_pts
         if self._G is not None:
-            new_G = np.empty((new_cap, new_cap))
+            new_G = capacity_buffer(new_cap, new_cap)
             new_G[: self.size, : self.size] = self._G[: self.size, : self.size]
             self._G = new_G
         if self._R is not None:
-            new_R = np.zeros((new_cap, new_cap))
+            new_R = capacity_buffer(new_cap, new_cap, np.zeros)
             new_R[: self.size, : self.size] = self._R[: self.size, : self.size]
             self._R = new_R
 
@@ -360,14 +413,14 @@ class GramCache:
         of it and ``parts = solve_parts(kvec)`` may be passed in when known."""
         p = self._point(point)
         if self._pts is None:
-            self._pts = np.empty((0, p.shape[1]))
+            self._pts = np.empty((p.shape[1], 0))
         if kvec is None:
             kvec = self.kernel_vector(p)
         if diag is None:
             diag = self_kernel(self.kernel, p)
         d = self.size
         self._grow(d + 1)
-        self._pts[d] = p[0]
+        self._pts[:, d] = p[0]
         self._index.setdefault((p[0] + 0.0).tobytes(), d)   # + 0.0: -0.0 -> 0.0
         if self._G is not None:
             self._G[:d, d] = kvec
@@ -391,8 +444,8 @@ class GramCache:
         """Factor the leading n x n Gram, built from the points, into the R buffer."""
         R, self.jitter = _inverse_factor(self._gram(n, np.empty((n, n))), self.jitter_scale)
         if self._R is None:
-            cap = self._pts.shape[0]
-            self._R = np.zeros((cap, cap))
+            cap = self._pts.shape[1]
+            self._R = capacity_buffer(cap, cap, np.zeros)
         self._R[:n, :n] = R
 
     def _factor_view(self) -> np.ndarray:

@@ -37,7 +37,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from .errors import CapacityError, ConfigError, InputError, NumericalError
-from .kernels import DEFAULT_JITTER_SCALE, GramCache, Kernel, self_kernel
+from .kernels import DEFAULT_JITTER_SCALE, GramCache, Kernel, capacity_buffer, self_kernel
 from .operator import Dictionary, OperatorRep, zero_rep
 
 _MIN_FACTOR = 1e-100       # fold the scalar factor into Wf below this
@@ -314,11 +314,11 @@ class LearnerState:
             new_cap *= 2
         self._flush()
         d = self.dict_size
-        buf = np.empty((new_cap, new_cap))
+        buf = capacity_buffer(new_cap, new_cap)
         buf[:d, :d] = self._Wf[:d, :d]
         self._Wf = buf
-        self._Ut = np.empty((_BLOCK, new_cap))
-        self._Vt = np.empty((_BLOCK, new_cap))
+        self._Ut = capacity_buffer(_BLOCK, new_cap)
+        self._Vt = capacity_buffer(_BLOCK, new_cap)
 
     def _flush(self):
         """Add the pending block into ``Wf``: ``Wf += U V^T``."""
@@ -349,9 +349,12 @@ class LearnerState:
     def _decay(self, a: float):
         """``W <- a W`` by scaling ``c``.  Below ``_MIN_FACTOR`` (so also at
         ``a = 0``), and on an empty dictionary where there is nothing to
-        scale, the factor is folded into ``Wf`` and ``c`` restarts at 1."""
+        scale, the factor is folded into ``Wf`` and ``c`` restarts at 1.
+        A factor of exactly 0 drops the pending block unadded."""
         c = a * self._c
         if c < _MIN_FACTOR or not self.dict_size:
+            if c == 0.0:
+                self._m = 0     # W becomes 0: adding U V^T first is wasted
             self._flush()
             d = self.dict_size
             self._Wf[:d, :d] *= c

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmestream import (GramCache, InputError, Kernel, NumericalError,
-                       cross_gram, eval_kernel, gram_matrix,
-                       inverse_with_jitter, woodbury_append)
+from cmestream import (ConstantStep, GramCache, InputError, Kernel, LearnerConfig,
+                       NumericalError, ZeroBudget, cross_gram, eval_kernel,
+                       gram_matrix, inverse_with_jitter, new_state, woodbury_append)
 from cmestream.kernels import _inverse_factor
 from conftest import run_child
 
@@ -368,3 +368,42 @@ class TestGramOnDemand:
                 cache.append(p)
         assert built.jitter > 0.0 and read.jitter == built.jitter
         assert np.array_equal(read._factor_view(), built._factor_view())
+
+
+class TestBufferLayout:
+    @pytest.mark.parametrize("cap", [2 ** k for k in range(4, 12)])
+    def test_no_row_stride_is_a_multiple_of_4k(self, gauss05, cap):
+        # a 4 KiB-multiple row stride maps every row to the same cache sets
+        cache = GramCache(gauss05)
+        cache.append([0.0, 0.0])
+        cache.G
+        cache.inverse()                 # both square buffers exist
+        cache._grow(cap)
+        state = new_state(LearnerConfig(lam=0.1, step_schedule=ConstantStep(0.2),
+                                        budget_schedule=ZeroBudget(),
+                                        kernel_x=gauss05, kernel_y=gauss05))
+        state._grow(cap)
+        buffers = {"G": cache._G, "R": cache._R, "Wf": state._Wf,
+                   "Ut": state._Ut, "Vt": state._Vt}
+        for name, buf in buffers.items():
+            assert buf.shape[1] == cap, name
+            assert buf.strides[0] % 4096 != 0, name
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 9])
+    def test_kernel_vector_bitwise_cross_gram_across_growth(self, rng, dim):
+        # the caches sum coordinate rows in einsum's order; dim 9 takes its
+        # blocked order; 16 and 32 points fill a capacity exactly
+        kernel = Kernel.gaussian(0.7)
+        pts = _gram_points(rng, dim)
+        queries = np.vstack([rng.uniform(-1, 1, (3, dim)), pts[3], -np.zeros(dim)])
+        for n in (15, 16, 17, 31, 32, 33):
+            want = cross_gram(kernel, pts[:n], queries).T
+            for cache in _two_caches(kernel, pts[:n]):
+                got = np.array([cache.kernel_vector(q) for q in queries])
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_linear_replay_bitwise_from_coordinate_rows(self, rng):
+        # the replay reads each point back out of its coordinate-major
+        # column; from dim 5 a strided point rounds the diagonal differently
+        read, built = _two_caches(Kernel.linear(9.0), _gram_points(rng, 9))
+        assert np.array_equal(read.G.view(np.int64), built.G.view(np.int64))

@@ -433,6 +433,20 @@ class TestEquivalenceWithDirectImplementation:
         assert hs_distance(on_state_grid(state.rep, states),
                            on_state_grid(ref, states)) <= 1e-10
 
+    def test_total_decay_drops_pending_block(self, gauss05, rng):
+        # a zero factor makes W = 0, so the pending block is not added first
+        cfg = make_cfg(gauss05, budget=ConstantBudget(0.5))
+        state = new_state(cfg)
+        for _ in range(12):
+            step(state, cfg, (rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)))
+        assert state._m > 0
+        flushed = []
+        flush = state._flush
+        state._flush = lambda: (flushed.append(state._m), flush())
+        state._decay(0.0)
+        assert flushed == [0] and state._m == 0 and state._c == 1.0
+        assert not np.any(state.coefficients)
+
     def test_total_decay_matches_naive(self, rng):
         # eta = 1/lam makes the decay factor exactly zero: the scalar factor
         # folds into W on every step; 40 samples cross the 16-atom capacity
@@ -470,6 +484,16 @@ class TestRunStream:
         state, _ = run_stream(cfg, samples)
         assert state.dict_size == 1
         assert state.coefficients[0, 0] == pytest.approx(1.0 / (1.0 + lam), rel=1e-6)
+
+    def test_snapshot_points_are_c_ordered(self, gauss03, rng):
+        # the caches store points coordinate-major and hand out (n, dim) rows
+        xs, ys = rng.uniform(-1, 1, (20, 3)), rng.uniform(-1, 1, (20, 2))
+        state, _ = run_stream(make_cfg(gauss03), zip(xs, ys))
+        rep = state.snapshot_rep()
+        for got, want in ((state.gram_x.points, xs), (state.gram_y.points, ys),
+                          (rep.dict.xs, xs), (rep.dict.ys, ys)):
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, want)
 
     def test_checkpoint_reps_are_snapshots(self, gauss03, rng):
         cfg = make_cfg(gauss03)
