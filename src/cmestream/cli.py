@@ -20,8 +20,6 @@ import sys
 
 
 def _float_repr(v) -> str:
-    if v != v:     # nan
-        return "nan"
     return repr(float(v))
 
 

@@ -4,14 +4,14 @@ Everything downstream (operator representations, the online learner, the
 spectral analysis) works purely with finite Gram matrices built here.  The
 module also owns the numerical policy for inverting Gram matrices: a
 multiplicative jitter that escalates until a Cholesky factorization exists
-and the inverse passes a residual check, and an inverse Cholesky factor
-that the learner grows by one row per dictionary atom.
+and the inverse passes a residual check, an inverse Cholesky factor
+that the learner grows by one row per dictionary atom, and the clamp of
+quantities that round-off can push below zero (``clamp_roundoff``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -35,6 +35,27 @@ def capacity_buffer(rows: int, cap: int, fill=np.empty) -> np.ndarray:
     """A ``(rows, cap)`` view of a ``(rows, cap + _ROW_PAD)`` array made by
     ``fill`` (``np.empty`` or ``np.zeros``)."""
     return fill((rows, cap + _ROW_PAD))[:, :cap]
+
+
+def grown_capacity(cap: int, need: int) -> int:
+    """The capacity that holds ``need``: ``max(16, cap)``, doubled until it does."""
+    new_cap = max(16, cap)
+    while new_cap < need:
+        new_cap *= 2
+    return new_cap
+
+
+def clamp_roundoff(raw: float, scale: float, rtol: float, message: str) -> float:
+    """The numerical policy's round-off clamp for a quantity that is >= 0 in
+    exact arithmetic, computed as ``raw`` from terms of total magnitude
+    ``scale``: ``raw`` when it is >= 0, 0.0 when it is negative within
+    ``rtol * scale``, and a ``NumericalError`` reading
+    ``f"{message}: {raw}"`` beyond that."""
+    if raw >= 0.0:
+        return raw
+    if raw >= -rtol * max(scale, 1e-300):
+        return 0.0
+    raise NumericalError(f"{message}: {raw}")
 
 
 @dataclass(frozen=True)
@@ -109,8 +130,12 @@ def _as_points(points, name: str) -> np.ndarray:
 
 def _pairwise(kernel: Kernel, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     if kernel.family == "gaussian":
+        # squares added in coordinate order, as GramCache._kvec adds them
         diff = rows[:, None, :] - cols[None, :, :]
-        sq = np.einsum("ijk,ijk->ij", diff, diff)
+        diff *= diff
+        sq = np.zeros(diff.shape[:2])
+        for k in range(diff.shape[2]):
+            sq += diff[:, :, k]
         return np.exp(-sq / (2.0 * kernel.bandwidth ** 2))
     if kernel.family == "linear":
         return rows @ cols.T
@@ -131,31 +156,6 @@ def _pairwise_chunked(kernel: Kernel, rows: np.ndarray, cols: np.ndarray) -> np.
         stop = min(n, start + step)
         out[start:stop] = _pairwise(kernel, rows[start:stop], cols)
     return out
-
-
-@lru_cache(maxsize=None)
-def _sum_schedule(dim: int) -> tuple:
-    """``(row, adds)``: adding row ``src`` into row ``dst`` of a ``dim x n``
-    array for each ``(dst, src)`` of ``adds`` in turn leaves in ``row`` the
-    column sums that ``_pairwise``'s einsum computes, bit for bit.
-
-    numpy adds ``dim`` products in two 128-bit lanes, lane 0 over the even
-    coordinates and lane 1 over the odd ones, whole blocks of eight from
-    the back first and the rest in order; the sum is lane 0 + lane 1.  In
-    dims 1-2 every order agrees; in dim 3 it is ``(x0^2 + x2^2) + x1^2``.
-    """
-    lanes = ([], [])
-    full = dim - dim % 8
-    for start in range(0, full, 8):
-        for k in (start + 6, start + 4, start + 2, start):
-            lanes[0].append(k)
-            lanes[1].append(k + 1)
-    for k in range(full, dim):
-        lanes[k % 2].append(k)
-    adds = [(lane[0], k) for lane in lanes if lane for k in lane[1:]]
-    if lanes[1]:
-        adds.append((lanes[0][0], lanes[1][0]))
-    return lanes[0][0], tuple(adds)
 
 
 def eval_kernel(kernel: Kernel, a, b) -> float:
@@ -372,13 +372,12 @@ class GramCache:
         if self.kernel.family != "gaussian":
             return _pairwise(self.kernel, np.ascontiguousarray(pts.T), p)[:, 0]
         # _pairwise's differences and rounded squares over coordinate rows,
-        # summed in its order
+        # added in coordinate order
         sq = pts - p.T
         sq *= sq
-        row, adds = _sum_schedule(p.shape[1])
-        for dst, src in adds:
-            sq[dst] += sq[src]
-        out = sq[row]
+        out = sq[0]
+        for row in sq[1:]:
+            out += row
         np.negative(out, out=out)
         out /= 2.0 * self.kernel.bandwidth ** 2
         return np.exp(out, out=out)
@@ -392,9 +391,7 @@ class GramCache:
         cap = self._pts.shape[1]
         if need <= cap:
             return
-        new_cap = max(16, cap)
-        while new_cap < need:
-            new_cap *= 2
+        new_cap = grown_capacity(cap, need)
         new_pts = capacity_buffer(self._pts.shape[0], new_cap)
         new_pts[:, : self.size] = self._pts[:, : self.size]
         self._pts = new_pts

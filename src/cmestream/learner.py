@@ -36,8 +36,9 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import CapacityError, ConfigError, InputError, NumericalError
-from .kernels import DEFAULT_JITTER_SCALE, GramCache, Kernel, capacity_buffer, self_kernel
+from .errors import CapacityError, ConfigError, InputError
+from .kernels import (DEFAULT_JITTER_SCALE, GramCache, Kernel, capacity_buffer, clamp_roundoff,
+                      grown_capacity, self_kernel)
 from .operator import Dictionary, OperatorRep, zero_rep
 
 _MIN_FACTOR = 1e-100       # fold the scalar factor into Wf below this
@@ -194,11 +195,8 @@ def sgd_expand(W, k_x_new, eta: float, lam: float) -> np.ndarray:
 
 
 def _clamped_delta(raw: float, scale: float) -> float:
-    if raw >= 0.0:
-        return raw
-    if raw >= -_DELTA_CLAMP_RTOL * max(scale, 1e-300):
-        return 0.0
-    raise NumericalError(f"compression residual came out negative: {raw}")
+    return clamp_roundoff(raw, scale, _DELTA_CLAMP_RTOL,
+                          "compression residual came out negative")
 
 
 def compression_delta(W_tilde, G_x_big, G_y_big, Gbar_x, Gbar_y,
@@ -309,9 +307,7 @@ class LearnerState:
         cap = self._Wf.shape[0]
         if need <= cap:
             return
-        new_cap = max(16, cap)
-        while new_cap < need:
-            new_cap *= 2
+        new_cap = grown_capacity(cap, need)
         self._flush()
         d = self.dict_size
         buf = capacity_buffer(new_cap, new_cap)

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, ModelError, NumericalError
-from .kernels import Kernel, cross_gram, gram_matrix
+from .errors import InputError, ModelError
+from .kernels import Kernel, clamp_roundoff, cross_gram, gram_matrix
 
 NEG_CLAMP_RTOL = 1e-10
 
@@ -129,12 +129,10 @@ def hs_norm_sq(U: OperatorRep) -> float:
         return 0.0
     prods = U.W * (U.gram_y() @ U.W @ U.gram_x())
     raw = float(np.sum(prods))
-    if raw >= 0.0:
+    if raw >= 0.0:      # the scale is one more pass over prods
         return raw
-    scale = float(np.sum(np.abs(prods)))
-    if raw >= -NEG_CLAMP_RTOL * max(scale, 1e-300):
-        return 0.0
-    raise NumericalError(f"squared norm came out negative beyond round-off: {raw}")
+    return clamp_roundoff(raw, float(np.sum(np.abs(prods))), NEG_CLAMP_RTOL,
+                          "squared norm came out negative beyond round-off")
 
 
 def hs_inner(A: OperatorRep, B: OperatorRep) -> float:

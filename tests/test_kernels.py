@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from cmestream import (ConstantStep, GramCache, InputError, Kernel, LearnerConfig,
                        NumericalError, ZeroBudget, cross_gram, eval_kernel,
                        gram_matrix, inverse_with_jitter, new_state, woodbury_append)
-from cmestream.kernels import _inverse_factor
+from cmestream.kernels import _inverse_factor, clamp_roundoff
+from cmestream.learner import _DELTA_CLAMP_RTOL, _clamped_delta
+from cmestream.operator import NEG_CLAMP_RTOL, Dictionary, OperatorRep, hs_norm_sq
 from conftest import run_child
 
 finite_vec = st.lists(st.floats(-5, 5, allow_nan=False), min_size=2, max_size=2)
@@ -389,10 +391,11 @@ class TestBufferLayout:
             assert buf.shape[1] == cap, name
             assert buf.strides[0] % 4096 != 0, name
 
-    @pytest.mark.parametrize("dim", [1, 2, 3, 9])
+    @pytest.mark.parametrize("dim", list(range(1, 10)))
     def test_kernel_vector_bitwise_cross_gram_across_growth(self, rng, dim):
-        # the caches sum coordinate rows in einsum's order; dim 9 takes its
-        # blocked order; 16 and 32 points fill a capacity exactly
+        # the caches add squared coordinate rows, cross_gram squared
+        # coordinate slices, both in coordinate order; 16 and 32 points
+        # fill a capacity exactly
         kernel = Kernel.gaussian(0.7)
         pts = _gram_points(rng, dim)
         queries = np.vstack([rng.uniform(-1, 1, (3, dim)), pts[3], -np.zeros(dim)])
@@ -402,8 +405,70 @@ class TestBufferLayout:
                 got = np.array([cache.kernel_vector(q) for q in queries])
                 assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
+    @pytest.mark.parametrize("dim", [3, 9])
+    def test_squares_added_in_coordinate_order(self, rng, dim):
+        # exp(-(((d0^2 + d1^2) + d2^2) + ...) / (2h^2)), one addition at a time
+        kernel = Kernel.gaussian(0.7)
+        pts = _gram_points(rng, dim)
+        queries = rng.uniform(-1, 1, (5, dim))
+        sq = np.zeros((len(queries), len(pts)))
+        for i, q in enumerate(queries):
+            for j, p in enumerate(pts):
+                for k in range(dim):
+                    diff = float(p[k] - q[k])
+                    sq[i, j] += diff * diff
+        want = np.exp(-sq / (2.0 * kernel.bandwidth ** 2))
+        assert np.array_equal(cross_gram(kernel, queries, pts).view(np.int64),
+                              want.view(np.int64))
+        for cache in _two_caches(kernel, pts):
+            got = np.array([cache.kernel_vector(q) for q in queries])
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
     def test_linear_replay_bitwise_from_coordinate_rows(self, rng):
         # the replay reads each point back out of its coordinate-major
         # column; from dim 5 a strided point rounds the diagonal differently
         read, built = _two_caches(Kernel.linear(9.0), _gram_points(rng, 9))
         assert np.array_equal(read.G.view(np.int64), built.G.view(np.int64))
+
+
+def _diag_rep(a: float, b: float) -> OperatorRep:
+    """A two-atom rep whose ``hs_norm_sq`` terms are exactly ``a`` and ``b``:
+    W = I, G_X = I and G_Y = diag(a, b) (an indefinite custom kernel)."""
+    same = lambda r, c: (r[:, :1] == c[:, 0]).astype(float)
+    diag = lambda r, c: np.where(r[:, :1] == c[:, 0], r[:, :1], 0.0)
+    return OperatorRep(dict=Dictionary(np.array([[0.0], [1.0]]), np.array([[a], [b]])),
+                       W=np.eye(2), kernel_x=Kernel.custom(same, 1.0),
+                       kernel_y=Kernel.custom(diag, 1.0))
+
+
+def _operator_norm_sq(raw, scale):
+    # terms a + b = raw with |a| + |b| = scale, for |raw| < scale
+    return hs_norm_sq(_diag_rep((scale + raw) / 2.0, (raw - scale) / 2.0))
+
+
+class TestRoundoffClamp:
+    SITES = {
+        "learner-delta": (_clamped_delta, _DELTA_CLAMP_RTOL,
+                          "compression residual came out negative: "),
+        "operator-hs-norm-sq": (_operator_norm_sq, NEG_CLAMP_RTOL,
+                                "squared norm came out negative beyond round-off: "),
+    }
+
+    @pytest.mark.parametrize("site", list(SITES))
+    def test_three_branches_at_each_call_site(self, site):
+        clamp, rtol, message = self.SITES[site]
+        assert clamp(0.5, 2.0) == pytest.approx(0.5, rel=1e-15)
+        assert clamp(0.0, 2.0) == 0.0
+        assert clamp(-0.1 * rtol * 2.0, 2.0) == 0.0
+        with pytest.raises(NumericalError) as err:
+            clamp(-10.0 * rtol * 2.0, 2.0)
+        assert str(err.value).startswith(message)
+
+    @pytest.mark.parametrize("rtol", [_DELTA_CLAMP_RTOL, NEG_CLAMP_RTOL])
+    def test_band_edges(self, rtol):
+        assert clamp_roundoff(3.0, 4.0, rtol, "m") == 3.0
+        assert clamp_roundoff(-rtol * 4.0, 4.0, rtol, "m") == 0.0
+        with pytest.raises(NumericalError, match=r"^m: -"):
+            clamp_roundoff(np.nextafter(-rtol * 4.0, -1.0), 4.0, rtol, "m")
+        # a zero scale still clamps a denormal-sized negative
+        assert clamp_roundoff(-1e-320, 0.0, rtol, "m") == 0.0
