@@ -84,21 +84,17 @@ def cmd_learn(args) -> int:
     trace_path = os.path.join(out_dir, "trace.csv")
     with open(trace_path, "w") as trace:
         trace.write(_TRACE_HEADER + "\n")
-        try:
-            for x, y in zip(xs, ys):
-                step(state, cfg, (x, y))
-                rec = state.stats[-1]
-                trace.write(",".join([
-                    str(rec.t), str(int(rec.accepted)), _float_repr(rec.delta),
-                    _float_repr(rec.eps), _float_repr(rec.eta),
-                    str(rec.dict_size), _float_repr(rec.hs_norm),
-                ]) + "\n")
-                if rec.t in checkpoints:
-                    save_rep(state.snapshot_rep(),
-                             os.path.join(out_dir, f"checkpoint_{rec.t}.json"))
-        except Exception:
-            trace.flush()
-            raise
+        for x, y in zip(xs, ys):
+            step(state, cfg, (x, y))
+            rec = state.stats[-1]
+            trace.write(",".join([
+                str(rec.t), str(int(rec.accepted)), _float_repr(rec.delta),
+                _float_repr(rec.eps), _float_repr(rec.eta),
+                str(rec.dict_size), _float_repr(rec.hs_norm),
+            ]) + "\n")
+            if rec.t in checkpoints:
+                save_rep(state.snapshot_rep(),
+                         os.path.join(out_dir, f"checkpoint_{rec.t}.json"))
     if state.t in checkpoints:      # the last step's snapshot is already on disk
         shutil.copyfile(os.path.join(out_dir, f"checkpoint_{state.t}.json"), model_path)
     else:

@@ -1,12 +1,14 @@
 """Experiment configuration: JSON schema, validation, and builders.
 
 A single JSON document drives the CLI.  The schema below is normative and
-the only validation: unknown keys, and keys missing for the chosen kind, are
-rejected so typos fail loudly before any computation.  This module
-interprets the schema itself (Draft 2020-12, only the keywords it uses), so
-the runtime needs no ``jsonschema``; the tests hold the interpreter to
-``jsonschema`` as the oracle, error for error.  The builders expect a
-validated document.
+the only validation: unknown keys, keys of another kind (a budget ``eps`` on
+a ``zero`` budget, say) and keys missing for the chosen kind are rejected,
+so typos fail loudly before any computation.  This module interprets the
+schema itself (Draft 2020-12, only the keywords it uses), so the runtime
+needs no ``jsonschema``; the tests hold the interpreter to ``jsonschema`` as
+the oracle, error for error.  The builders expect a validated document and
+pass each section's keys to its library type as keyword arguments, so the
+types hold every default and check every value.
 """
 
 from __future__ import annotations
@@ -22,27 +24,26 @@ from .batch import FiniteSpaceModel
 from .dynamics import (DuffingParams, DuffingTrajectories, FiniteChainStream,
                        FiniteIIDStream, StreamSpec, generate_stream)
 from .errors import ConfigError, InputError
-from .kernels import DEFAULT_JITTER_SCALE, Kernel
+from .kernels import Kernel
 from .learner import (ConstantBudget, ConstantStep, CubicBudget, LearnerConfig,
                       PolynomialStep, QuadraticBudget, ZeroBudget)
 
 
-def _per_kind(key: str, rules: dict) -> dict:
-    """Schema clauses that apply ``rules[kind]`` when ``key`` equals ``kind``."""
+def _kinds(key: str, rules: dict) -> dict:
+    """Schema clauses under which each value ``k`` of ``key`` requires the
+    keys ``rules[k][0]`` and accepts only those, ``rules[k][1]`` and ``key``."""
     return {"allOf": [{"if": {"required": [key], "properties": {key: {"const": k}}},
-                       "then": then} for k, then in rules.items()]}
-
-
-def _source_keys(required: list, optional: list) -> dict:
-    return {"required": required,
-            "propertyNames": {"enum": ["kind"] + required + optional}}
+                       "then": {"required": required,
+                                "propertyNames": {"enum": [key, *required, *optional]}}}
+                      for k, (required, optional) in rules.items()]}
 
 
 _KERNEL_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
     "required": ["family"],
-    **_per_kind("family", {"gaussian": {"required": ["bandwidth"]}}),
+    **_kinds("family", {"gaussian": (["bandwidth"], ["bound"]),
+                        "linear": ([], ["bound"])}),
     "properties": {
         "family": {"enum": ["gaussian", "linear"]},
         "bandwidth": {"type": "number", "exclusiveMinimum": 0},
@@ -69,8 +70,8 @@ CONFIG_SCHEMA = {
                     "type": "object",
                     "additionalProperties": False,
                     "required": ["kind"],
-                    **_per_kind("kind", {"constant": {"required": ["eta"]},
-                                         "polynomial": {"required": ["eta0"]}}),
+                    **_kinds("kind", {"constant": (["eta"], []),
+                                      "polynomial": (["eta0"], ["t0", "p"])}),
                     "properties": {
                         "kind": {"enum": ["constant", "polynomial"]},
                         "eta": {"type": "number", "exclusiveMinimum": 0},
@@ -83,9 +84,10 @@ CONFIG_SCHEMA = {
                     "type": "object",
                     "additionalProperties": False,
                     "required": ["kind"],
-                    **_per_kind("kind", {"constant": {"required": ["eps"]},
-                                         "quadratic": {"required": ["b_cmp"]},
-                                         "cubic": {"required": ["b_cmp"]}}),
+                    **_kinds("kind", {"zero": ([], []),
+                                      "constant": (["eps"], []),
+                                      "quadratic": (["b_cmp"], []),
+                                      "cubic": (["b_cmp"], [])}),
                     "properties": {
                         "kind": {"enum": ["zero", "constant", "quadratic", "cubic"]},
                         "eps": {"type": "number", "minimum": 0},
@@ -106,13 +108,12 @@ CONFIG_SCHEMA = {
                     "type": "object",
                     "additionalProperties": False,
                     "required": ["kind"],
-                    **_per_kind("kind", {
-                        "duffing": _source_keys(["n_traj", "steps_per_traj"],
-                                                ["seed", "init_box", "params"]),
-                        "finite_chain": _source_keys(["model_path", "n_samples"],
-                                                     ["burn_in", "seed"]),
-                        "finite_iid": _source_keys(["model_path", "n_samples"], ["seed"]),
-                        "csv": _source_keys(["path", "dim_x", "dim_y"], []),
+                    **_kinds("kind", {
+                        "duffing": (["n_traj", "steps_per_traj"],
+                                    ["seed", "init_box", "params"]),
+                        "finite_chain": (["model_path", "n_samples"], ["burn_in", "seed"]),
+                        "finite_iid": (["model_path", "n_samples"], ["seed"]),
+                        "csv": (["path", "dim_x", "dim_y"], []),
                     }),
                     "properties": {
                         "kind": {"enum": ["duffing", "finite_chain", "finite_iid", "csv"]},
@@ -280,35 +281,29 @@ def load_config(path) -> dict:
     return data
 
 
+_STEPS = {"constant": ConstantStep, "polynomial": PolynomialStep}
+_BUDGETS = {"zero": ZeroBudget, "constant": ConstantBudget,
+            "quadratic": QuadraticBudget, "cubic": CubicBudget}
+_SOURCES = {"duffing": DuffingTrajectories, "finite_chain": FiniteChainStream,
+            "finite_iid": FiniteIIDStream}
+
+
+def _keys(section: dict, *skip: str) -> dict:
+    """A validated section's keys other than ``kind`` and ``skip``, which
+    are the keyword arguments of the type the section maps onto."""
+    return {k: v for k, v in section.items() if k not in ("kind", *skip)}
+
+
 def build_learner_config(data: dict) -> LearnerConfig:
-    kx = Kernel.from_dict(data["kernel"])
-    ky = Kernel.from_dict(data.get("kernel_y", data["kernel"]))
     lrn = data["learner"]
-    step = lrn["step"]
-    if step["kind"] == "constant":
-        sched = ConstantStep(eta=step["eta"])
-    else:
-        sched = PolynomialStep(eta0=step["eta0"], t0=step.get("t0", 1.0),
-                               p=step.get("p", 1.0))
-    bud = lrn["budget"]
-    if bud["kind"] == "zero":
-        budget = ZeroBudget()
-    elif bud["kind"] == "constant":
-        budget = ConstantBudget(eps=bud["eps"])
-    elif bud["kind"] == "quadratic":
-        budget = QuadraticBudget(b_cmp=bud["b_cmp"])
-    else:
-        budget = CubicBudget(b_cmp=bud["b_cmp"])
+    step, budget = lrn["step"], lrn["budget"]
     return LearnerConfig(
         lam=lrn["lambda"],
-        step_schedule=sched,
-        budget_schedule=budget,
-        kernel_x=kx,
-        kernel_y=ky,
-        jitter_scale=lrn.get("jitter_scale", DEFAULT_JITTER_SCALE),
-        max_dictionary=lrn.get("max_dictionary"),
-        budget_squared=lrn.get("budget_squared", False),
-    )
+        step_schedule=_STEPS[step["kind"]](**_keys(step)),
+        budget_schedule=_BUDGETS[budget["kind"]](**_keys(budget)),
+        kernel_x=Kernel.from_dict(data["kernel"]),
+        kernel_y=Kernel.from_dict(data.get("kernel_y", data["kernel"])),
+        **_keys(lrn, "lambda", "step", "budget"))
 
 
 def read_stream_csv(path, dim_x: int, dim_y: int):
@@ -335,29 +330,19 @@ def write_stream_csv(path, xs: np.ndarray, ys: np.ndarray):
 
 def build_stream(data: dict, base_dir: str = ".", seed: Optional[int] = None):
     """Materialize the configured stream as ``(xs, ys)`` arrays."""
-    section = data["stream"]
-    src = section["source"]
-    interleave = section.get("interleave", "sequential")
-    kind = src["kind"]
-    if kind == "csv":
+    src = data["stream"]["source"]
+    if src["kind"] == "csv":
         return read_stream_csv(os.path.join(base_dir, src["path"]),
                                src["dim_x"], src["dim_y"])
-    use_seed = seed if seed is not None else src.get("seed")
-    if use_seed is None:
+    keys = _keys(src, "model_path")
+    keys["seed"] = seed if seed is not None else src.get("seed")
+    if keys["seed"] is None:
         raise ConfigError("invalid config at $.stream.source.seed: a seed is required")
-    if kind == "duffing":
-        params = DuffingParams(**src.get("params", {}))
-        source = DuffingTrajectories(
-            n_traj=src["n_traj"], steps_per_traj=src["steps_per_traj"],
-            seed=use_seed,
-            init_box=tuple(tuple(b) for b in src.get("init_box", [[-2, 2], [-2, 2]])),
-            params=params)
-    else:
-        model = FiniteSpaceModel.load(os.path.join(base_dir, src["model_path"]))
-        if kind == "finite_chain":
-            source = FiniteChainStream(model=model, n_samples=src["n_samples"],
-                                       burn_in=src.get("burn_in", 0), seed=use_seed)
-        else:
-            source = FiniteIIDStream(model=model, n_samples=src["n_samples"],
-                                     seed=use_seed)
-    return generate_stream(StreamSpec(source=source, interleave=interleave))
+    if "model_path" in src:
+        keys["model"] = FiniteSpaceModel.load(os.path.join(base_dir, src["model_path"]))
+    if "init_box" in src:
+        keys["init_box"] = tuple(map(tuple, src["init_box"]))
+    if "params" in src:
+        keys["params"] = DuffingParams(**src["params"])
+    source = _SOURCES[src["kind"]](**keys)
+    return generate_stream(StreamSpec(source=source, **_keys(data["stream"], "source")))

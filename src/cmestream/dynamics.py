@@ -100,8 +100,8 @@ class DuffingTrajectories:
 class FiniteChainStream:
     model: FiniteSpaceModel
     n_samples: int
-    burn_in: int
     seed: int
+    burn_in: int = 0
 
 
 @dataclass(frozen=True)

@@ -79,6 +79,8 @@ class Kernel:
                 raise InputError("gaussian kernel needs a positive finite bandwidth")
             if self.bound != 1.0:
                 raise InputError("gaussian kernel has k(x,x)=1, bound must be 1")
+        elif self.bandwidth is not None:
+            raise InputError(f"{self.family} kernel takes no bandwidth")
         if not 0 < self.bound < np.inf:
             raise InputError("kernel bound must be positive and finite")
         if self.family == "custom" and self.fn is None:
@@ -109,12 +111,9 @@ class Kernel:
 
     @staticmethod
     def from_dict(d: dict) -> "Kernel":
-        family = d.get("family")
-        if family == "gaussian":
-            return Kernel.gaussian(d["bandwidth"])
-        if family == "linear":
-            return Kernel.linear(d.get("bound", 1.0))
-        raise InputError(f"cannot deserialize kernel family {family!r}")
+        """The kernel of the keys ``d`` gives (``to_dict``'s, or a config's
+        kernel section); a key that its family does not take raises."""
+        return Kernel(**d, fn=None)
 
 
 def _as_points(points, name: str) -> np.ndarray:

@@ -31,6 +31,7 @@ operators match the plain coefficient recursion to machine precision
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -60,8 +61,8 @@ class PolynomialStep:
     """eta_t = eta0 / (1 + t/t0)^p with p in (0.5, 1]."""
 
     eta0: float
-    t0: float
-    p: float
+    t0: float = 1.0
+    p: float = 1.0
 
 
 StepSchedule = Union[ConstantStep, PolynomialStep]
@@ -483,17 +484,23 @@ def run_stream(cfg: LearnerConfig, samples, checkpoints: Optional[Sequence[int]]
 
     Returns ``(state, checkpoint_reps)`` where ``checkpoint_reps`` holds a
     deep-copied operator representation after each step index listed in
-    ``checkpoints`` (sorted, deduplicated).
+    ``checkpoints``, in step order.  A checkpoint that is not a whole number
+    >= 1 raises ``InputError`` before the first step, and one past the end
+    of the stream raises it once the stream has ended.
     """
+    for t in checkpoints or ():
+        if not (isinstance(t, numbers.Real) and t >= 1 and float(t).is_integer()):
+            raise InputError(f"checkpoint {t!r} is not a whole number >= 1")
+    marks = set(map(int, checkpoints or ()))
     state = new_state(cfg)
-    marks = sorted(set(int(t) for t in checkpoints)) if checkpoints else []
     reps = []
-    mark_i = 0
     for sample in samples:
         step(state, cfg, sample)
-        while mark_i < len(marks) and marks[mark_i] == state.t:
+        if state.t in marks:
             reps.append((state.t, state.snapshot_rep()))
-            mark_i += 1
     if not state.t:
         raise InputError("sample stream is empty")
+    if marks and max(marks) > state.t:
+        raise InputError(f"checkpoint {max(marks)} is past the end of the "
+                         f"{state.t}-sample stream")
     return state, reps

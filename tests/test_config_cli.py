@@ -5,9 +5,9 @@ import jsonschema
 import numpy as np
 import pytest
 
-from cmestream import (ConfigError, ConstantStep, FiniteSpaceModel, Kernel,
-                       PolynomialStep, QuadraticBudget, ZeroBudget, load_rep,
-                       run_stream, save_rep)
+from cmestream import (ConfigError, ConstantStep, FiniteChainStream, FiniteSpaceModel,
+                       Kernel, PolynomialStep, QuadraticBudget, StreamSpec, ZeroBudget,
+                       generate_stream, load_rep, run_stream, save_rep)
 from cmestream.cli import main
 from cmestream.config import (CONFIG_SCHEMA, build_learner_config, build_stream,
                               load_config, read_stream_csv, validate_config,
@@ -129,6 +129,23 @@ class TestBuilders:
         assert cfg.step_schedule == PolynomialStep(0.2, 50, 1.0)
         assert cfg.budget_schedule == QuadraticBudget(1.0)
 
+    def test_polynomial_defaults_are_the_library_defaults(self):
+        raw = duffing_config()
+        raw["learner"]["step"] = {"kind": "polynomial", "eta0": 0.2}
+        assert build_learner_config(raw).step_schedule == PolynomialStep(eta0=0.2)
+
+    def test_finite_chain_burn_in_defaults_to_the_library_default(self, tmp_path):
+        model = FiniteSpaceModel.from_chain(np.array([[0.], [1.]]),
+                                            np.array([[0.3, 0.7], [0.6, 0.4]]))
+        model.save(tmp_path / "chain.json")
+        raw = duffing_config()
+        raw["stream"]["source"] = {"kind": "finite_chain", "model_path": "chain.json",
+                                   "n_samples": 40, "seed": 5}
+        xs, ys = build_stream(raw, base_dir=str(tmp_path))
+        ref = generate_stream(StreamSpec(source=FiniteChainStream(
+            model=model, n_samples=40, seed=5)))
+        assert np.array_equal(xs, ref[0]) and np.array_equal(ys, ref[1])
+
     def test_budget_squared_override(self):
         raw = duffing_config()
         raw["learner"]["budget_squared"] = True
@@ -235,6 +252,26 @@ class TestCliLearn:
         out = tmp_path / "run"
         assert run_cli("learn", "--config", path, "--out", out) == 2
         assert "checkpoint 999" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section, value, key", [
+        (("learner", "step"), {"kind": "constant", "eta": 0.2, "eta0": 0.3}, "eta0"),
+        (("learner", "budget"), {"kind": "zero", "eps": 0.5}, "eps"),
+        (("kernel_y",), {"family": "linear", "bandwidth": 0.3}, "bandwidth"),
+        (("kernel",), {"family": "gaussian", "bandwidth": 0.3, "bound": 2.0}, "bound"),
+    ])
+    def test_key_of_another_kind_writes_nothing(self, tmp_path, capsys, section, value,
+                                                key):
+        # the builders used to drop these keys and run with the kind's defaults
+        cfg = duffing_config(checkpoints=[2])
+        parent = cfg
+        for name in section[:-1]:
+            parent = parent[name]
+        parent[section[-1]] = value
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        out = tmp_path / "run"
+        assert run_cli("learn", "--config", tmp_path / "cfg.json", "--out", out) == 2
+        assert key in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("section, key", [("kernel", "bandwidth"),

@@ -53,6 +53,19 @@ class TestKernelEval:
         with pytest.raises(InputError):
             Kernel(family="gaussian")
 
+    @pytest.mark.parametrize("keys, message", [
+        ({"family": "linear", "bandwidth": 0.3}, "takes no bandwidth"),
+        ({"family": "gaussian", "bandwidth": 0.3, "bound": 2.0}, "bound must be 1"),
+        ({"family": "custom", "bound": 1.0}, "evaluation function"),
+    ])
+    def test_from_dict_rejects_keys_the_family_does_not_take(self, keys, message):
+        with pytest.raises(InputError, match=message):
+            Kernel.from_dict(keys)
+
+    @pytest.mark.parametrize("kernel", [Kernel.gaussian(0.3), Kernel.linear(2.0)])
+    def test_from_dict_inverts_to_dict(self, kernel):
+        assert Kernel.from_dict(kernel.to_dict()) == kernel
+
     @pytest.mark.parametrize("make", [
         lambda: Kernel.gaussian(np.nan), lambda: Kernel.gaussian(np.inf),
         lambda: Kernel.linear(np.nan), lambda: Kernel.linear(np.inf),

@@ -495,6 +495,26 @@ class TestRunStream:
             assert got.flags.c_contiguous
             assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("marks", [[0, 3], [2.5, 4], [3, -1], [float("nan")], ["3"]])
+    def test_bad_checkpoint_rejected_before_the_first_step(self, gauss03, marks):
+        def samples():
+            raise AssertionError("the stream was read")
+            yield
+
+        with pytest.raises(InputError, match="whole number"):
+            run_stream(make_cfg(gauss03), samples(), checkpoints=marks)
+
+    def test_checkpoint_past_the_end_named(self, gauss03, rng):
+        samples = [(rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)) for _ in range(5)]
+        with pytest.raises(InputError, match="checkpoint 99 is past the end of the "
+                                             "5-sample stream"):
+            run_stream(make_cfg(gauss03), samples, checkpoints=[3, 99])
+
+    def test_whole_float_checkpoints(self, gauss03, rng):
+        samples = [(rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)) for _ in range(5)]
+        _, reps = run_stream(make_cfg(gauss03), samples, checkpoints=[4.0, 2, 2])
+        assert [t for t, _ in reps] == [2, 4]
+
     def test_checkpoint_reps_are_snapshots(self, gauss03, rng):
         cfg = make_cfg(gauss03)
         samples = [(rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)) for _ in range(10)]
