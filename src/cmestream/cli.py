@@ -45,8 +45,8 @@ def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     base = os.path.dirname(os.path.abspath(args.config))
     out_dir = args.out or cfg.get("outputs", {}).get("dir", ".")
-    os.makedirs(out_dir, exist_ok=True)
     xs, ys = build_stream(cfg, base_dir=base, seed=args.seed)
+    os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "stream.csv")
     write_stream_csv(path, xs, ys)
     print(f"wrote {len(xs)} sample pairs to {path}")

@@ -332,6 +332,12 @@ def build_stream(data: dict, base_dir: str = ".", seed: Optional[int] = None):
     """Materialize the configured stream as ``(xs, ys)`` arrays."""
     src = data["stream"]["source"]
     if src["kind"] == "csv":
+        # a csv source is read in file order, so neither setting could act
+        if "interleave" in data["stream"]:
+            raise ConfigError("invalid config at $.stream.interleave: "
+                              "a csv source takes no interleave")
+        if seed is not None:
+            raise ConfigError("--seed does not apply to a csv stream source")
         return read_stream_csv(os.path.join(base_dir, src["path"]),
                                src["dim_x"], src["dim_y"])
     keys = _keys(src, "model_path")

@@ -20,20 +20,30 @@ from .operator import Dictionary, OperatorRep
 
 RESIDUAL_RTOL = 1e-6
 _REAL_TOL = 1e-10
-# kernel values per query block of eval_eigenfunction
+# kernel values per column block of koopman_matrix and per query block
+# of eval_eigenfunction
 _EVAL_BLOCK = 2 ** 16
 
 
 def koopman_matrix(U: OperatorRep) -> np.ndarray:
-    """Finite Koopman matrix W^T G_YX with G_YX[i,j] = k(y_i, x_j)."""
+    """Finite Koopman matrix W^T G_YX with G_YX[i,j] = k(y_i, x_j).
+
+    ``G_YX`` is never held whole: M is filled in column blocks of about
+    ``_EVAL_BLOCK`` kernel values, ``M[:, b] = W^T G_YX[:, b]``.
+    """
     if len(U) == 0:
         return np.zeros((0, 0))
     if U.dict.dim_x != U.dict.dim_y:
         raise InputError("Koopman analysis needs matching x/y dimensions")
     if U.kernel_x != U.kernel_y:
         raise InputError("Koopman analysis needs one shared kernel")
-    G_yx = cross_gram(U.kernel_x, U.dict.ys, U.dict.xs)
-    return U.W.T @ G_yx
+    d = len(U)
+    M = np.empty((d, d))
+    cols = max(1, _EVAL_BLOCK // d)
+    for start in range(0, d, cols):
+        block = U.dict.xs[start:start + cols]
+        M[:, start:start + cols] = U.W.T @ cross_gram(U.kernel_x, U.dict.ys, block)
+    return M
 
 
 @dataclass(frozen=True)
@@ -68,9 +78,75 @@ def _normalize_pair(lam: complex, v: np.ndarray):
     return lam, v * np.conj(phase)
 
 
+def _residual(M: np.ndarray, lam: complex, v: np.ndarray):
+    """``(|M v - lam v|, bound)`` with the bound ``RESIDUAL_RTOL |v| max(1, |lam|)``.
+    The real and imaginary parts of v are applied to the real M separately
+    (``M @ v`` would make a complex copy of M)."""
+    res = float(np.linalg.norm(M @ v.real + 1j * (M @ v.imag) - lam * v))
+    return res, RESIDUAL_RTOL * np.linalg.norm(v) * max(1.0, abs(lam))
+
+
+def _eigenvector(M: np.ndarray, lam: complex, position: int) -> np.ndarray:
+    """A vector for the eigenvalue ``lam`` of the real matrix M, by inverse
+    iteration in real arithmetic (Ipsen, SIAM Review 39, 1997).
+
+    A real ``lam`` solves with ``M - lam I``.  A complex one solves with
+    ``Q = (M - Re(lam) I)^2 + Im(lam)^2 I = (M - lam I)(M - conj(lam) I)``,
+    whose near-null space is the real plane of the pair, from two start
+    columns; a 2x2 Rayleigh-Ritz step on that plane then picks the vector.
+    Each pass first moves the diagonal by ``delta``, one rounding step of
+    the shift, so an exactly singular system (``M = I``) solves; after an
+    exact zero pivot the next pass moves it d times as far.  The second
+    pass runs only if the first gives no vector within ``RESIDUAL_RTOL``.
+    The start columns are DCT-IV basis vectors picked by ``position``:
+    orthogonal to each other, so a repeated semisimple eigenvalue gets
+    independent vectors, and free of zero entries.
+    """
+    d = M.shape[0]
+    real = lam.imag == 0
+    if real:
+        A, c = M.copy(), -lam.real
+    else:
+        B = M.copy()
+        B.flat[::d + 1] -= lam.real
+        A, c = B @ B, lam.imag ** 2
+        del B                   # gone before the solve takes its copy of A
+    A.flat[::d + 1] += c
+    delta = np.finfo(float).eps * max(1.0, abs(c))
+    freqs = position + 0.5 + np.arange(1 if real else 2)
+    X = np.cos(np.pi / d * np.outer(np.arange(d) + 0.5, freqs))
+    v = None
+    for _ in range(2):
+        A.flat[::d + 1] -= delta
+        try:
+            X = np.linalg.qr(np.linalg.solve(A, X))[0]
+        except np.linalg.LinAlgError:      # an exact zero pivot
+            delta *= d
+            continue
+        if real:
+            v = X[:, 0].astype(complex)
+        else:
+            H = X.T @ (M @ X)
+            # null vector of H - lam I, from whichever row of it is larger
+            v = X @ max(np.array([H[0, 1], lam - H[0, 0]]),
+                        np.array([lam - H[1, 1], H[1, 0]]), key=np.linalg.norm)
+        res, bound = _residual(M, lam, v)
+        if res <= bound:
+            break
+    if v is None:
+        raise NumericalError(f"inverse iteration for eigenvalue {lam:.6g} met "
+                             "an exactly singular system twice")
+    return v
+
+
 def eigen_spectrum(M, k: int, dictionary: Optional[Dictionary] = None,
                    kernel: Optional[Kernel] = None) -> KoopmanSpectrum:
-    """Top-k eigenpairs of a (generally nonsymmetric) square matrix."""
+    """Top-k eigenpairs of a (generally nonsymmetric) square matrix.
+
+    The eigenvalues come from ``np.linalg.eigvals``; a vector is computed
+    only for each of the k selected pairs (``_eigenvector``), and the
+    conjugate partner of a computed complex pair takes the conjugate vector.
+    """
     M = np.asarray(M, dtype=float)
     d = M.shape[0]
     if M.shape != (d, d):
@@ -78,18 +154,21 @@ def eigen_spectrum(M, k: int, dictionary: Optional[Dictionary] = None,
     if not (1 <= k <= d):
         raise InputError(f"requested {k} eigenpairs from a {d}x{d} matrix")
     try:
-        vals, vecs = np.linalg.eig(M)
+        vals = np.linalg.eigvals(M)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
-    order = np.lexsort((-vals.imag, -vals.real, -np.abs(vals)))
-    vals, vecs = vals[order], vecs[:, order]
+    vals = vals[np.lexsort((-vals.imag, -vals.real, -np.abs(vals)))[:k]]
     out_vals = np.empty(k, dtype=complex)
     out_vecs = np.empty((d, k), dtype=complex)
     residuals = np.empty(k)
-    for i in range(k):
-        lam, v = _normalize_pair(vals[i], vecs[:, i])
-        res = np.linalg.norm(M @ v - lam * v)
-        bound = RESIDUAL_RTOL * np.linalg.norm(v) * max(1.0, abs(lam))
+    for i, lam in enumerate(vals):
+        # the sort puts a complex pair's partner (Im < 0) straight after it
+        if i and lam.imag < 0 and vals[i - 1] == np.conj(lam):
+            raw = np.conj(raw)
+        else:
+            raw = _eigenvector(M, lam, i)
+        lam, v = _normalize_pair(lam, raw)
+        res, bound = _residual(M, lam, v)
         if np.linalg.norm(v) > 0 and res > bound:
             raise NumericalError(
                 f"eigenpair {i} residual {res:.3e} exceeds bound {bound:.3e}")

@@ -160,6 +160,17 @@ class TestBuilders:
         assert np.array_equal(a[0], b[0])
         assert not np.array_equal(a[0], c[0])
 
+    def test_stream_csv_rejects_seed_and_interleave(self, tmp_path, rng):
+        write_stream_csv(tmp_path / "s.csv", rng.uniform(size=(3, 2)), rng.uniform(size=(3, 2)))
+        raw = duffing_config()
+        raw["stream"] = {"source": {"kind": "csv", "path": "s.csv", "dim_x": 2, "dim_y": 2}}
+        assert build_stream(raw, base_dir=tmp_path)[0].shape == (3, 2)
+        with pytest.raises(ConfigError, match="--seed"):
+            build_stream(raw, base_dir=tmp_path, seed=5)
+        raw["stream"]["interleave"] = "round_robin"
+        with pytest.raises(ConfigError, match=r"\$\.stream\.interleave"):
+            build_stream(raw, base_dir=tmp_path)
+
     def test_stream_csv_round_trip(self, tmp_path, rng):
         xs = rng.uniform(-1, 1, (7, 2))
         ys = rng.uniform(-1, 1, (7, 2))
@@ -343,6 +354,24 @@ class TestCliLearn:
         out = tmp_path / "out"
         assert run_cli("learn", "--config", tmp_path / "cfg.json", "--out", out) == 2
         assert "s.csv" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, extra, key", [
+        ("simulate", {}, ["--seed", 5]),
+        ("learn", {}, ["--seed", 5]),
+        ("simulate", {"interleave": "round_robin"}, []),
+        ("learn", {"interleave": "sequential"}, []),
+    ])
+    def test_csv_source_rejects_unused_settings(self, tmp_path, capsys, command, extra, key):
+        # a csv stream is read as written: a seed or an interleave cannot act
+        (tmp_path / "s.csv").write_text("0.5,0.5,0.5,0.5\n0.1,0.2,0.3,0.4\n")
+        cfg = duffing_config()
+        cfg["stream"] = {"source": {"kind": "csv", "path": "s.csv",
+                                    "dim_x": 2, "dim_y": 2}, **extra}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert run_cli(command, "--config", tmp_path / "cfg.json", "--out", out, *key) == 2
+        assert ("--seed" if key else "$.stream.interleave") in capsys.readouterr().err
         assert not out.exists()
 
     def test_budget_squared_flag_changes_decisions(self, tmp_path):

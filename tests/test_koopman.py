@@ -3,12 +3,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cmestream import (Dictionary, GridSpec, InputError, Kernel,
-                       KoopmanSpectrum, NumericalError, OperatorRep,
+from cmestream import (ConstantStep, CubicBudget, Dictionary, DuffingTrajectories,
+                       GridSpec, InputError, Kernel, KoopmanSpectrum, LearnerConfig,
+                       NumericalError, OperatorRep, StreamSpec, ZeroBudget,
                        cross_gram, eigen_spectrum, eval_eigenfunction, eval_kernel,
-                       grid_eval, gram_matrix, koopman_matrix,
-                       koopman_spectrum)
-from conftest import random_rep
+                       generate_stream, grid_eval, gram_matrix, koopman_matrix,
+                       koopman_spectrum, run_stream, save_rep)
+from cmestream.koopman import RESIDUAL_RTOL, _normalize_pair
+from conftest import random_rep, run_child
 
 
 def dynamics_rep(kernel, xs, ys, W):
@@ -101,6 +103,103 @@ class TestEigenSpectrum:
         spec = eigen_spectrum(M, 6)
         mods = np.abs(spec.eigenvalues)
         assert np.all(np.diff(mods) <= 1e-12)
+
+
+def eig_pairs(M):
+    """``np.linalg.eig``'s pairs, normalized as ``eigen_spectrum`` normalizes."""
+    vals, vecs = np.linalg.eig(M)
+    pairs = [_normalize_pair(vals[i], vecs[:, i]) for i in range(len(vals))]
+    return np.array([lam for lam, _ in pairs]), np.array([v for _, v in pairs]).T
+
+
+def readme_duffing_rep(n_traj, budget):
+    """The README Duffing learner over the first ``10 * n_traj`` pairs."""
+    kernel = Kernel.gaussian(0.3)
+    xs, ys = generate_stream(StreamSpec(source=DuffingTrajectories(
+        n_traj=n_traj, steps_per_traj=10, seed=0)))
+    cfg = LearnerConfig(lam=0.0012, step_schedule=ConstantStep(0.2),
+                        budget_schedule=budget, kernel_x=kernel, kernel_y=kernel)
+    return run_stream(cfg, zip(xs, ys))[0].rep
+
+
+class TestInverseIteration:
+    """Eigenvalues from ``eigvals``; vectors by inverse iteration, only for
+    the pairs asked for.  They must agree with ``np.linalg.eig``."""
+
+    def test_random_pairs_match_eig(self, rng):
+        n_complex = 0
+        for _ in range(20):
+            d = int(rng.integers(5, 61))
+            M = rng.normal(size=(d, d)) / np.sqrt(d)
+            spec = eigen_spectrum(M, d)
+            vals, vecs = eig_pairs(M)
+            n_complex += int(np.sum(spec.eigenvalues.imag != 0))
+            for lam, v in zip(spec.eigenvalues, spec.eigenvectors.T):
+                j = int(np.argmin(np.abs(vals - lam)))
+                sep = np.min(np.abs(np.delete(vals, j) - vals[j]))
+                assert abs(lam - vals[j]) <= 1e-12
+                assert np.linalg.norm(v - vecs[:, j]) <= 1e-8 / min(sep, 1.0)
+        assert n_complex >= 100
+
+    @pytest.mark.parametrize("n_traj, budget", [(355, CubicBudget(2.0)), (120, ZeroBudget())],
+                             ids=["readme-cubic", "zero-budget-1200"])
+    def test_duffing_operators_match_eig(self, n_traj, budget):
+        rep = readme_duffing_rep(n_traj, budget)
+        spec = koopman_spectrum(rep, 5)
+        vals, vecs = eig_pairs(koopman_matrix(rep))
+        order = np.lexsort((-vals.imag, -vals.real, -np.abs(vals)))[:5]
+        assert np.max(np.abs(spec.eigenvalues - vals[order])) <= 1e-13
+        assert np.max(np.abs(spec.eigenvectors - vecs[:, order])) <= 1e-9
+        assert np.any(spec.eigenvalues.imag != 0)
+        assert np.all(spec.residuals <= RESIDUAL_RTOL)
+
+    def test_identity_gets_independent_vectors(self):
+        spec = eigen_spectrum(np.eye(4), 4)
+        assert np.array_equal(spec.eigenvalues, np.ones(4))
+        assert np.linalg.svd(spec.eigenvectors, compute_uv=False)[-1] >= 0.5
+
+    @pytest.mark.parametrize("a", [0.0, 0.5])
+    def test_jordan_block_gets_parallel_vectors(self, a):
+        # as np.linalg.eig: both pairs carry the one eigenvector e_1
+        spec = eigen_spectrum(np.array([[a, 1.0], [0.0, a]]), 2)
+        assert np.array_equal(spec.eigenvalues, [a, a])
+        assert np.allclose(spec.eigenvectors, [[1.0, 1.0], [0.0, 0.0]], atol=1e-12)
+        assert np.all(spec.residuals <= 1e-12)
+
+    def test_conjugate_partner_cut_by_k(self):
+        # k may keep one member of a complex pair; its vector is still exact
+        M = np.array([[0.9, -0.6, 0.0], [0.15, 0.9, 0.0], [0.1, 0.2, 0.2]])
+        spec = eigen_spectrum(M, 1)
+        assert spec.eigenvalues[0] == pytest.approx(0.9 + 0.3j)
+        vals, vecs = eig_pairs(M)
+        j = int(np.argmin(np.abs(vals - spec.eigenvalues[0])))
+        assert np.allclose(spec.eigenvectors[:, 0], vecs[:, j], atol=1e-12)
+
+    def test_traced_peak_below_four_matrices(self, gauss05, rng):
+        d = 600
+        rep = random_rep(rng, gauss05, d)
+        koopman_spectrum(rep, 5)            # warm up
+        tracemalloc.start()
+        try:
+            spec = koopman_spectrum(rep, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.any(spec.eigenvalues.imag != 0)      # the complex path ran
+        assert peak < 4 * d * d * 8
+
+    def test_cli_koopman_never_imports_numpy_random(self, gauss05, rng, tmp_path):
+        save_rep(random_rep(rng, gauss05, 30), tmp_path / "model.json")
+        code = """
+import sys
+from cmestream.cli import main
+assert main(["koopman", "--model", "model.json", "--grid-counts", "5,5"]) == 0
+print(sorted(m for m in sys.modules if m.startswith("numpy.random")))
+"""
+        proc = run_child(tmp_path, "-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
+        assert (tmp_path / "spectrum.json").exists()
 
 
 class TestEvalEigenfunction:
