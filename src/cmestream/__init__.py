@@ -31,7 +31,7 @@ from .koopman import (GridSpec, KoopmanSpectrum, eigen_spectrum,
                       koopman_spectrum)
 from .learner import (ConstantBudget, ConstantStep, CubicBudget, LearnerConfig,
                       LearnerState, PolynomialStep, QuadraticBudget, StepRecord,
-                      ZeroBudget, compression_delta, new_state,
+                      ZeroBudget, checkpoint_marks, compression_delta, new_state,
                       project_coefficients, run_stream, sgd_expand, step)
 from .operator import (Dictionary, KmeWeights, OperatorRep,
                        conditional_expectation, hs_distance, hs_inner, hs_norm,
@@ -49,7 +49,7 @@ __all__ = [
     "InputError", "Kernel", "KmeWeights", "KoopmanSpectrum", "LearnerConfig",
     "LearnerState", "ModelError", "NumericalError", "OperatorRep",
     "PolynomialStep", "QuadraticBudget", "StepRecord", "StreamSpec",
-    "ZeroBudget", "batch_solution", "compression_delta",
+    "ZeroBudget", "batch_solution", "checkpoint_marks", "compression_delta",
     "conditional_expectation", "cross_gram", "distance_to_oracle",
     "duffing_step", "duffing_trajectory", "eigen_spectrum", "eval_eigenfunction",
     "eval_kernel", "exact_finite_cme", "generate_stream", "gradient_norm_gram",

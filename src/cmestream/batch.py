@@ -38,6 +38,11 @@ def _sample_arrays(samples):
     return xs, ys
 
 
+def _check_lambda(lam: float):
+    if not (lam > 0 and np.isfinite(lam)):
+        raise InputError("lambda must be positive and finite")
+
+
 def batch_solution(samples, lam: float, kernel_x: Kernel, kernel_y: Kernel) -> BatchSolution:
     """W = (G_X + n*lam*I)^-1 over the dictionary of all n samples.
 
@@ -45,8 +50,7 @@ def batch_solution(samples, lam: float, kernel_x: Kernel, kernel_y: Kernel) -> B
     Psi Phi^T (Phi Phi^T + n lam Id)^-1 = Psi (G_X + n lam I)^-1 Phi^T
     applied to the empirical covariance form of the regularized solution.
     """
-    if lam <= 0:
-        raise InputError("lambda must be positive")
+    _check_lambda(lam)
     xs, ys = _sample_arrays(samples)
     n = xs.shape[0]
     G = gram_matrix(kernel_x, xs)
@@ -62,8 +66,7 @@ def gradient_norm_gram(U: OperatorRep, samples, lam: float) -> float:
     The gradient is dictionary-representable with coefficient matrix
     ``W G_X / n - I/n + lam W`` over the same sample dictionary.
     """
-    if lam <= 0:
-        raise InputError("lambda must be positive")
+    _check_lambda(lam)
     if samples is not None:
         xs, ys = _sample_arrays(samples)
         if xs.shape != U.dict.xs.shape or not (np.array_equal(xs, U.dict.xs)
@@ -203,8 +206,7 @@ def exact_finite_cme(model: FiniteSpaceModel, lam: float,
     coefficient assigned to one representative pair, to match the square
     pair-dictionary representation used everywhere else.
     """
-    if lam <= 0:
-        raise InputError("lambda must be positive")
+    _check_lambda(lam)
     mx, my = model.joint.shape
     if mx > 100 or my > 100:
         raise InputError("finite-space oracle is limited to <=100 states per side")

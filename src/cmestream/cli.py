@@ -58,8 +58,7 @@ _TRACE_HEADER = "t,accepted,delta,eps_t,eta_t,dict_size,hs_norm"
 
 def cmd_learn(args) -> int:
     from .config import build_learner_config, build_stream, load_config
-    from .errors import ConfigError
-    from .learner import new_state, step
+    from .learner import checkpoint_marks, run_stream
     from .operator import save_rep
 
     cfg_data = load_config(args.config)
@@ -67,10 +66,7 @@ def cmd_learn(args) -> int:
     out_dir = args.out or cfg_data.get("outputs", {}).get("dir", ".")
     cfg = build_learner_config(cfg_data)
     xs, ys = build_stream(cfg_data, base_dir=base, seed=args.seed)
-    checkpoints = set(cfg_data.get("analysis", {}).get("checkpoints", []))
-    if checkpoints and max(checkpoints) > len(xs):
-        raise ConfigError(f"checkpoint {max(checkpoints)} is past the end of the "
-                          f"{len(xs)}-sample stream")
+    marks = checkpoint_marks(cfg_data.get("analysis", {}).get("checkpoints"), len(xs))
     os.makedirs(out_dir, exist_ok=True)
     # every earlier checkpoint and model goes, so a run that fails midway
     # leaves only its own outputs
@@ -80,22 +76,22 @@ def cmd_learn(args) -> int:
     if os.path.exists(model_path):
         os.remove(model_path)
 
-    state = new_state(cfg)
-    trace_path = os.path.join(out_dir, "trace.csv")
-    with open(trace_path, "w") as trace:
+    with open(os.path.join(out_dir, "trace.csv"), "w") as trace:
         trace.write(_TRACE_HEADER + "\n")
-        for x, y in zip(xs, ys):
-            step(state, cfg, (x, y))
+
+        def record(state):
             rec = state.stats[-1]
             trace.write(",".join([
                 str(rec.t), str(int(rec.accepted)), _float_repr(rec.delta),
                 _float_repr(rec.eps), _float_repr(rec.eta),
                 str(rec.dict_size), _float_repr(rec.hs_norm),
             ]) + "\n")
-            if rec.t in checkpoints:
+            if rec.t in marks:
                 save_rep(state.snapshot_rep(),
                          os.path.join(out_dir, f"checkpoint_{rec.t}.json"))
-    if state.t in checkpoints:      # the last step's snapshot is already on disk
+
+        state, _ = run_stream(cfg, zip(xs, ys), on_step=record)
+    if state.t in marks:            # the last step's snapshot is already on disk
         shutil.copyfile(os.path.join(out_dir, f"checkpoint_{state.t}.json"), model_path)
     else:
         save_rep(state.snapshot_rep(), model_path)
@@ -117,9 +113,12 @@ def cmd_koopman(args) -> int:
     for idx in fields:
         if not 0 <= idx < len(spec):
             raise InputError(f"eigenfunction index {idx} out of range")
+    degenerate = bool((abs(spec.eigenvalues) < 1e-12).all())
+    if fields and not degenerate and rep.dict.dim_x != len(grid.mins):
+        raise InputError(f"the grid is {len(grid.mins)}-d but the model's x points "
+                         f"are {rep.dict.dim_x}-d; pass --fields '' for the spectrum alone")
     out_dir = args.out or os.path.dirname(os.path.abspath(args.model)) or "."
     os.makedirs(out_dir, exist_ok=True)
-    degenerate = bool((abs(spec.eigenvalues) < 1e-12).all())
     payload = {
         "eigenvalues": [[v.real, v.imag] for v in spec.eigenvalues],
         "eigenvectors": [[[c.real, c.imag] for c in spec.eigenvectors[:, i]]

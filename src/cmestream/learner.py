@@ -479,28 +479,43 @@ def step(state: LearnerState, cfg: LearnerConfig, sample) -> LearnerState:
     return state
 
 
-def run_stream(cfg: LearnerConfig, samples, checkpoints: Optional[Sequence[int]] = None):
-    """Fold ``step`` over a sample stream.
+def checkpoint_marks(checkpoints, n_samples: Optional[int] = None) -> set:
+    """The step indices in ``checkpoints``, as a set of ints.
 
-    Returns ``(state, checkpoint_reps)`` where ``checkpoint_reps`` holds a
-    deep-copied operator representation after each step index listed in
-    ``checkpoints``, in step order.  A checkpoint that is not a whole number
-    >= 1 raises ``InputError`` before the first step, and one past the end
-    of the stream raises it once the stream has ended.
+    Raises ``InputError`` for a mark that is not a whole number >= 1, and,
+    when the stream length ``n_samples`` is given, for a mark past its end.
     """
     for t in checkpoints or ():
         if not (isinstance(t, numbers.Real) and t >= 1 and float(t).is_integer()):
             raise InputError(f"checkpoint {t!r} is not a whole number >= 1")
     marks = set(map(int, checkpoints or ()))
+    if n_samples is not None and marks and max(marks) > n_samples:
+        raise InputError(f"checkpoint {max(marks)} is past the end of the "
+                         f"{n_samples}-sample stream")
+    return marks
+
+
+def run_stream(cfg: LearnerConfig, samples, checkpoints: Optional[Sequence[int]] = None,
+               on_step=None):
+    """Fold ``step`` over a sample stream.
+
+    Returns ``(state, checkpoint_reps)`` where ``checkpoint_reps`` holds a
+    deep-copied operator representation after each step index listed in
+    ``checkpoints``, in step order.  ``on_step(state)``, when given, is
+    called after every step.  The marks follow ``checkpoint_marks``: a bad
+    one raises ``InputError`` before the first step, and one past the end
+    of the stream (which may have no length) once the stream has ended.
+    """
+    marks = checkpoint_marks(checkpoints)
     state = new_state(cfg)
     reps = []
     for sample in samples:
-        step(state, cfg, sample)
+        step(state, cfg, sample)    # the module global: a timing wrapper may replace it
+        if on_step is not None:
+            on_step(state)
         if state.t in marks:
             reps.append((state.t, state.snapshot_rep()))
     if not state.t:
         raise InputError("sample stream is empty")
-    if marks and max(marks) > state.t:
-        raise InputError(f"checkpoint {max(marks)} is past the end of the "
-                         f"{state.t}-sample stream")
+    checkpoint_marks(marks, state.t)
     return state, reps

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -103,6 +105,29 @@ def three_state_chain():
     P = 0.5 * np.outer(np.ones(3), pi) + 0.5 * np.eye(3)
     states = np.array([[0.0], [1.0], [2.0]])
     return FiniteSpaceModel.from_chain(states, P)
+
+
+@pytest.mark.parametrize("lam", [0.0, -1.0, np.inf, np.nan])
+class TestLambdaRejected:
+    """A lambda that is not positive and finite is rejected by name, before
+    any solve can warn or fail on non-finite values."""
+
+    def check(self, call):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="lambda must be positive and finite"):
+                call()
+
+    def test_batch_solution(self, gauss03, rng, lam):
+        self.check(lambda: batch_solution(random_samples(rng, 3), lam, gauss03, gauss03))
+
+    def test_gradient_norm_gram(self, gauss05, rng, lam):
+        samples = random_samples(rng, 3)
+        rep = batch_solution(samples, 0.1, gauss05, gauss05).rep
+        self.check(lambda: gradient_norm_gram(rep, samples, lam))
+
+    def test_exact_finite_cme(self, gauss05, three_state_chain, lam):
+        self.check(lambda: exact_finite_cme(three_state_chain, lam, gauss05, gauss05))
 
 
 class TestExactFiniteCme:

@@ -198,6 +198,29 @@ def run_cli(*args):
     return main([str(a) for a in args])
 
 
+def chain_run(tmp_path):
+    """``cme learn`` on a 60-step 3-state chain with 1-d states; returns
+    the run dir (checkpoints 10 and 60) beside ``chain.json``."""
+    pi = np.array([0.5, 0.3, 0.2])
+    P = 0.5 * np.outer(np.ones(3), pi) + 0.5 * np.eye(3)
+    model = FiniteSpaceModel.from_chain(np.array([[0.], [1.], [2.]]), P)
+    model.save(tmp_path / "chain.json")
+    cfg = {
+        "kernel": {"family": "gaussian", "bandwidth": 0.5},
+        "learner": {"lambda": 0.1,
+                    "step": {"kind": "constant", "eta": 0.1},
+                    "budget": {"kind": "zero"}},
+        "stream": {"source": {"kind": "finite_chain", "model_path": "chain.json",
+                              "n_samples": 60, "burn_in": 0, "seed": 3}},
+        "analysis": {"checkpoints": [10, 60]},
+    }
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    out = tmp_path / "run"
+    assert run_cli("learn", "--config", tmp_path / "cfg.json", "--out", out) == 0
+    return out
+
+
+
 @pytest.fixture
 def duffing_cfg_file(tmp_path):
     path = tmp_path / "cfg.json"
@@ -257,6 +280,51 @@ class TestCliLearn:
             assert model == (out / f"checkpoint_{state.t}.json").read_bytes()
         assert np.array_equal(load_rep(out / "model.json").W, state.coefficients)
 
+    def test_trace_is_run_stream_stats(self, tmp_path):
+        cfg_data = duffing_config(budget={"kind": "cubic", "b_cmp": 2.0},
+                                  checkpoints=[2, 6])
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg_data))
+        out = tmp_path / "run"
+        assert run_cli("learn", "--config", tmp_path / "cfg.json", "--out", out) == 0
+        xs, ys = build_stream(cfg_data)
+        state, _ = run_stream(build_learner_config(cfg_data), zip(xs, ys))
+        rows = [",".join([str(r.t), str(int(r.accepted)), repr(float(r.delta)),
+                          repr(float(r.eps)), repr(float(r.eta)), str(r.dict_size),
+                          repr(float(r.hs_norm))]) for r in state.stats]
+        assert (out / "trace.csv").read_text().splitlines() == (
+            ["t,accepted,delta,eps_t,eta_t,dict_size,hs_norm"] + rows)
+
+    def test_module_level_step_wrapper_sees_every_step(self, duffing_cfg_file, tmp_path,
+                                                      monkeypatch):
+        # the benchmark's step timer and tracer replace the module attribute
+        from cmestream import learner
+        calls, inner = [], learner.step
+
+        def counted(state, cfg, sample):
+            calls.append(state.t)
+            return inner(state, cfg, sample)
+
+        monkeypatch.setattr(learner, "step", counted)
+        assert run_cli("learn", "--config", duffing_cfg_file, "--out", tmp_path / "run") == 0
+        assert calls == list(range(12))
+
+    def test_past_end_error_matches_run_stream(self, tmp_path, capsys):
+        from cmestream import InputError
+        from cmestream.cli import build_parser
+        cfg_data = duffing_config(checkpoints=[5, 999])
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg_data))
+        args = build_parser().parse_args(["learn", "--config", str(path),
+                                          "--out", str(tmp_path / "run")])
+        with pytest.raises(InputError) as cli_err:
+            args.func(args)
+        xs, ys = build_stream(cfg_data)
+        with pytest.raises(InputError) as lib_err:
+            run_stream(build_learner_config(cfg_data), zip(xs, ys), checkpoints=[5, 999])
+        assert str(cli_err.value) == str(lib_err.value) == (
+            "checkpoint 999 is past the end of the 12-sample stream")
+        assert not (tmp_path / "run").exists()
+
     def test_checkpoint_past_stream_end_rejected(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(duffing_config(checkpoints=[5, 999])))
@@ -314,7 +382,7 @@ class TestCliLearn:
     def test_failed_run_leaves_no_earlier_model(self, tmp_path):
         first, capped = tmp_path / "first.json", tmp_path / "capped.json"
         first.write_text(json.dumps(duffing_config()))
-        cfg = duffing_config()
+        cfg = duffing_config(checkpoints=[3])
         cfg["learner"]["max_dictionary"] = 5
         capped.write_text(json.dumps(cfg))
         out = tmp_path / "run"
@@ -322,6 +390,7 @@ class TestCliLearn:
         assert (out / "model.json").exists()
         assert run_cli("learn", "--config", capped, "--out", out) == 2
         assert len((out / "trace.csv").read_text().splitlines()) == 1 + 5
+        assert len(load_rep(out / "checkpoint_3.json")) == 3   # written before the failure
         assert not (out / "model.json").exists()
         assert run_cli("koopman", "--model", out / "model.json") == 2
 
@@ -439,6 +508,19 @@ class TestCliKoopman:
         assert spec["degenerate"]
         assert not (tmp_path / "eigfield_0.csv").exists()
 
+    def test_grid_dimension_mismatch_writes_nothing(self, tmp_path, capsys):
+        # the spectrum used to be written before the 2-d grid met 1-d points
+        run = chain_run(tmp_path)
+        out = tmp_path / "koopman"
+        assert run_cli("koopman", "--model", run / "model.json", "--k", 2,
+                       "--out", out) == 2
+        assert "1-d" in capsys.readouterr().err
+        assert not out.exists()
+        assert run_cli("koopman", "--model", run / "model.json", "--k", 2,
+                       "--fields", "", "--out", out) == 0
+        assert len(json.loads((out / "spectrum.json").read_text())["eigenvalues"]) == 2
+        assert not list(out.glob("eigfield_*.csv"))
+
     def test_dim_mismatch_is_input_error(self, tmp_path, gauss03, rng):
         from cmestream import Dictionary, OperatorRep, save_rep
         rep = OperatorRep(dict=Dictionary(rng.uniform(size=(2, 2)),
@@ -479,28 +561,26 @@ class TestCliCompare:
             "checkpoint_200.json", "checkpoint_50.json"]
 
     def test_exact_oracle(self, tmp_path):
-        pi = np.array([0.5, 0.3, 0.2])
-        P = 0.5 * np.outer(np.ones(3), pi) + 0.5 * np.eye(3)
-        model = FiniteSpaceModel.from_chain(np.array([[0.], [1.], [2.]]), P)
-        model.save(tmp_path / "chain.json")
-        cfg = {
-            "kernel": {"family": "gaussian", "bandwidth": 0.5},
-            "learner": {"lambda": 0.1,
-                        "step": {"kind": "constant", "eta": 0.1},
-                        "budget": {"kind": "zero"}},
-            "stream": {"source": {"kind": "finite_chain", "model_path": "chain.json",
-                                  "n_samples": 60, "burn_in": 0, "seed": 3}},
-            "analysis": {"checkpoints": [10, 60]},
-        }
-        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
-        out = tmp_path / "run"
-        assert run_cli("learn", "--config", tmp_path / "cfg.json", "--out", out) == 0
+        out = chain_run(tmp_path)
         assert run_cli("compare", "--run-dir", out, "--oracle", "exact",
                        "--model-json", tmp_path / "chain.json",
                        "--lambda", "0.1") == 0
         rows = (out / "convergence.csv").read_text().strip().splitlines()
         d10, d60 = (float(r.split(",")[1]) for r in rows[1:])
         assert d60 < d10        # learning reduces oracle distance
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("lam", ["inf", "nan", "-inf"])
+    @pytest.mark.parametrize("oracle", ["batch", "exact"])
+    def test_non_finite_lambda_rejected(self, tmp_path, capsys, oracle, lam):
+        # the solves used to warn and then fail on non-finite coefficients
+        out = chain_run(tmp_path)
+        assert run_cli("simulate", "--config", tmp_path / "cfg.json", "--out", out) == 0
+        assert run_cli("compare", "--run-dir", out, "--oracle", oracle,
+                       "--stream", out / "stream.csv",
+                       "--model-json", tmp_path / "chain.json", f"--lambda={lam}") == 2
+        assert "lambda must be positive and finite" in capsys.readouterr().err
+        assert not (out / "convergence.csv").exists()
 
     def test_missing_checkpoints_error(self, tmp_path, gauss03, rng):
         from cmestream import Dictionary, OperatorRep, save_rep

@@ -5,7 +5,7 @@ from cmestream import (CapacityError, ConfigError, ConstantBudget, ConstantStep,
                        CubicBudget, Dictionary, DuffingTrajectories, FiniteChainStream,
                        FiniteSpaceModel, GramCache, InputError, Kernel, LearnerConfig,
                        OperatorRep, PolynomialStep, QuadraticBudget, StreamSpec,
-                       ZeroBudget, compression_delta, eval_kernel,
+                       ZeroBudget, checkpoint_marks, compression_delta, eval_kernel,
                        generate_stream, gram_matrix, hs_distance, hs_norm,
                        inverse_with_jitter, new_state, project_coefficients,
                        run_stream, sgd_expand, step)
@@ -514,6 +514,33 @@ class TestRunStream:
         samples = [(rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)) for _ in range(5)]
         _, reps = run_stream(make_cfg(gauss03), samples, checkpoints=[4.0, 2, 2])
         assert [t for t, _ in reps] == [2, 4]
+
+    def test_on_step_sees_every_step(self, gauss03, rng):
+        samples = [(rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)) for _ in range(6)]
+        seen = []
+        state, _ = run_stream(make_cfg(gauss03), samples,
+                              on_step=lambda s: seen.append((s, s.t, s.stats[-1].t)))
+        assert [(t, rec_t) for _, t, rec_t in seen] == [(t, t) for t in range(1, 7)]
+        assert all(s is state for s, _, _ in seen)
+
+    def test_past_the_end_of_an_unsized_stream(self, gauss03, rng):
+        # a zip has no length, so the mark is checked once the stream ends
+        xs, ys = rng.uniform(-1, 1, (4, 2)), rng.uniform(-1, 1, (4, 2))
+        steps = []
+        with pytest.raises(InputError, match="checkpoint 5 is past the end of the "
+                                             "4-sample stream"):
+            run_stream(make_cfg(gauss03), zip(xs, ys), checkpoints=[5],
+                       on_step=lambda s: steps.append(s.t))
+        assert steps == [1, 2, 3, 4]
+
+    def test_checkpoint_marks(self):
+        assert checkpoint_marks(None) == set() == checkpoint_marks([], 3)
+        assert checkpoint_marks([4.0, 2, 2]) == {2, 4} == checkpoint_marks([4, 2], 4)
+        with pytest.raises(InputError, match="checkpoint 5 is past the end of the "
+                                             "4-sample stream"):
+            checkpoint_marks([2, 5], 4)
+        with pytest.raises(InputError, match="whole number"):
+            checkpoint_marks([0], 4)
 
     def test_checkpoint_reps_are_snapshots(self, gauss03, rng):
         cfg = make_cfg(gauss03)
