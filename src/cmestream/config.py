@@ -331,11 +331,12 @@ def write_stream_csv(path, xs: np.ndarray, ys: np.ndarray):
 def build_stream(data: dict, base_dir: str = ".", seed: Optional[int] = None):
     """Materialize the configured stream as ``(xs, ys)`` arrays."""
     src = data["stream"]["source"]
+    # only duffing trajectories have an order to interleave; a csv source is
+    # read in file order and a finite source draws one sequence
+    if src["kind"] != "duffing" and "interleave" in data["stream"]:
+        raise ConfigError("invalid config at $.stream.interleave: "
+                          f"a {src['kind']} source takes no interleave")
     if src["kind"] == "csv":
-        # a csv source is read in file order, so neither setting could act
-        if "interleave" in data["stream"]:
-            raise ConfigError("invalid config at $.stream.interleave: "
-                              "a csv source takes no interleave")
         if seed is not None:
             raise ConfigError("--seed does not apply to a csv stream source")
         return read_stream_csv(os.path.join(base_dir, src["path"]),

@@ -23,8 +23,6 @@ MAX_JITTER_SCALE = 1e-4
 INVERSE_RTOL = 1e-8
 SCHUR_FALLBACK_RTOL = 1e-12
 
-# pairwise-evaluation chunk limit: n*m*dim elements per temporary
-_CHUNK_ELEMS = 2 ** 24
 # spare columns per capacity-buffer row: with power-of-two capacities an
 # unpadded row stride is a multiple of 4 KiB, so every row of a d x d pass
 # would start on the same cache sets
@@ -98,9 +96,6 @@ class Kernel:
     def custom(fn, bound: float) -> "Kernel":
         return Kernel(family="custom", fn=fn, bound=bound)
 
-    def __call__(self, a, b) -> float:
-        return eval_kernel(self, a, b)
-
     def to_dict(self) -> dict:
         if self.family == "custom":
             raise InputError("custom kernels are not serializable")
@@ -129,31 +124,19 @@ def _as_points(points, name: str) -> np.ndarray:
 
 def _pairwise(kernel: Kernel, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     if kernel.family == "gaussian":
-        # squares added in coordinate order, as GramCache._kvec adds them
-        diff = rows[:, None, :] - cols[None, :, :]
-        diff *= diff
-        sq = np.zeros(diff.shape[:2])
-        for k in range(diff.shape[2]):
-            sq += diff[:, :, k]
+        # squares added in coordinate order, as GramCache._kvec adds them; each
+        # coordinate's temporary is the size of the block
+        sq = np.zeros((rows.shape[0], cols.shape[0]))
+        for k in range(rows.shape[1]):
+            diff = rows[:, k, None] - cols[None, :, k]
+            diff *= diff
+            sq += diff
         return np.exp(-sq / (2.0 * kernel.bandwidth ** 2))
     if kernel.family == "linear":
         return rows @ cols.T
     out = np.asarray(kernel.fn(rows, cols), dtype=float)
     if out.shape != (rows.shape[0], cols.shape[0]):
         raise InputError("custom kernel returned a wrongly shaped block")
-    return out
-
-
-def _pairwise_chunked(kernel: Kernel, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    n, m = rows.shape[0], cols.shape[0]
-    dim = rows.shape[1]
-    if n * m * dim <= _CHUNK_ELEMS or kernel.family != "gaussian":
-        return _pairwise(kernel, rows, cols)
-    out = np.empty((n, m))
-    step = max(1, _CHUNK_ELEMS // (m * dim))
-    for start in range(0, n, step):
-        stop = min(n, start + step)
-        out[start:stop] = _pairwise(kernel, rows[start:stop], cols)
     return out
 
 
@@ -177,7 +160,7 @@ def self_kernel(kernel: Kernel, point) -> float:
 def gram_matrix(kernel: Kernel, points) -> np.ndarray:
     """Symmetric PSD matrix of pairwise kernel values."""
     pts = _as_points(points, "points")
-    G = _pairwise_chunked(kernel, pts, pts)
+    G = _pairwise(kernel, pts, pts)
     if kernel.family != "gaussian":
         # enforce exact symmetry; the gaussian path is symmetric by construction
         G = 0.5 * (G + G.T)
@@ -190,7 +173,7 @@ def cross_gram(kernel: Kernel, rows, cols) -> np.ndarray:
     c = _as_points(cols, "cols")
     if r.shape[1] != c.shape[1]:
         raise InputError("rows and cols have mismatched point dimensions")
-    return _pairwise_chunked(kernel, r, c)
+    return _pairwise(kernel, r, c)
 
 
 def _inverse_factor(G, jitter_scale: float):

@@ -398,11 +398,8 @@ def _admit(state: LearnerState, x, y, k_x, k_y, s_x, s_y, eta, a,
 
 def step(state: LearnerState, cfg: LearnerConfig, sample) -> LearnerState:
     """One full iteration: expand, test the compression budget, project or
-    admit.  Mutates ``state`` in place and returns it."""
-    if cfg is not state.cfg and (cfg.kernel_x != state.cfg.kernel_x
-                                 or cfg.kernel_y != state.cfg.kernel_y
-                                 or cfg.jitter_scale != state.cfg.jitter_scale):
-        raise ConfigError("kernels/jitter cannot change mid-run")
+    admit.  Mutates ``state`` in place and returns it.  ``cfg`` is the
+    state's own config (``new_state``'s); another raises ``ConfigError``."""
     x = np.asarray(sample[0], dtype=float).reshape(-1)
     y = np.asarray(sample[1], dtype=float).reshape(-1)
     t = state.t + 1
@@ -415,7 +412,8 @@ def step(state: LearnerState, cfg: LearnerConfig, sample) -> LearnerState:
     # the caches check both points here, before anything mutates the state
     k_x = state.gram_x.kernel_vector(x)
     k_y = state.gram_y.kernel_vector(y)
-    state.cfg = cfg
+    if cfg is not state.cfg and cfg != state.cfg:
+        raise ConfigError("the config cannot change mid-run")
     s_x = self_kernel(cfg.kernel_x, x)
     s_y = self_kernel(cfg.kernel_y, y)
 

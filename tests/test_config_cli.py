@@ -5,9 +5,10 @@ import jsonschema
 import numpy as np
 import pytest
 
-from cmestream import (ConfigError, ConstantStep, FiniteChainStream, FiniteSpaceModel,
-                       Kernel, PolynomialStep, QuadraticBudget, StreamSpec, ZeroBudget,
-                       generate_stream, load_rep, run_stream, save_rep)
+from cmestream import (ConfigError, ConstantStep, DuffingParams, DuffingTrajectories,
+                       FiniteChainStream, FiniteSpaceModel, Kernel, PolynomialStep,
+                       QuadraticBudget, StreamSpec, ZeroBudget, generate_stream,
+                       load_rep, run_stream, save_rep)
 from cmestream.cli import main
 from cmestream.config import (CONFIG_SCHEMA, build_learner_config, build_stream,
                               load_config, read_stream_csv, validate_config,
@@ -32,6 +33,14 @@ def duffing_config(n_traj=4, steps=3, seed=7, budget=None, checkpoints=None,
     if checkpoints:
         cfg["analysis"] = {"checkpoints": checkpoints}
     return cfg
+
+
+def save_chain(path) -> FiniteSpaceModel:
+    """A 2-state chain model, saved to ``path``."""
+    model = FiniteSpaceModel.from_chain(np.array([[0.], [1.]]),
+                                        np.array([[0.3, 0.7], [0.6, 0.4]]))
+    model.save(path)
+    return model
 
 
 class TestConfigValidation:
@@ -135,9 +144,7 @@ class TestBuilders:
         assert build_learner_config(raw).step_schedule == PolynomialStep(eta0=0.2)
 
     def test_finite_chain_burn_in_defaults_to_the_library_default(self, tmp_path):
-        model = FiniteSpaceModel.from_chain(np.array([[0.], [1.]]),
-                                            np.array([[0.3, 0.7], [0.6, 0.4]]))
-        model.save(tmp_path / "chain.json")
+        model = save_chain(tmp_path / "chain.json")
         raw = duffing_config()
         raw["stream"]["source"] = {"kind": "finite_chain", "model_path": "chain.json",
                                    "n_samples": 40, "seed": 5}
@@ -159,6 +166,38 @@ class TestBuilders:
         c = build_stream(raw)           # seed from config
         assert np.array_equal(a[0], b[0])
         assert not np.array_equal(a[0], c[0])
+
+    def test_duffing_box_and_params_map_onto_the_library(self):
+        raw = duffing_config(n_traj=5, steps=7, seed=11)
+        raw["stream"]["source"].update(
+            init_box=[[-1, 0.5], [0, 1.5]],
+            params={"delta": 0.3, "beta": -0.5, "alpha": 1.5,
+                    "dt_integrator": 0.02, "sample_interval": 0.3})
+        raw["stream"]["interleave"] = "round_robin"
+        xs, ys = build_stream(raw)
+        ref = generate_stream(StreamSpec(source=DuffingTrajectories(
+            n_traj=5, steps_per_traj=7, seed=11, init_box=((-1.0, 0.5), (0.0, 1.5)),
+            params=DuffingParams(delta=0.3, beta=-0.5, alpha=1.5, dt_integrator=0.02,
+                                 sample_interval=0.3)), interleave="round_robin"))
+        assert np.array_equal(xs.view(np.int64), ref[0].view(np.int64))
+        assert np.array_equal(ys.view(np.int64), ref[1].view(np.int64))
+        default = build_stream(duffing_config(n_traj=5, steps=7, seed=11))
+        assert not np.array_equal(xs, default[0])
+
+    @pytest.mark.parametrize("command", ["simulate", "learn"])
+    @pytest.mark.parametrize("kind", ["duffing", "finite_chain"])
+    def test_generated_source_needs_a_seed(self, tmp_path, capsys, command, kind):
+        save_chain(tmp_path / "m.json")
+        cfg = duffing_config()
+        if kind == "finite_chain":
+            cfg["stream"]["source"] = {"kind": kind, "model_path": "m.json",
+                                       "n_samples": 20, "seed": 0}
+        del cfg["stream"]["source"]["seed"]
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert run_cli(command, "--config", tmp_path / "cfg.json", "--out", out) == 2
+        assert "$.stream.source.seed" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_stream_csv_rejects_seed_and_interleave(self, tmp_path, rng):
         write_stream_csv(tmp_path / "s.csv", rng.uniform(size=(3, 2)), rng.uniform(size=(3, 2)))
@@ -430,17 +469,27 @@ class TestCliLearn:
         ("learn", {}, ["--seed", 5]),
         ("simulate", {"interleave": "round_robin"}, []),
         ("learn", {"interleave": "sequential"}, []),
+        ("simulate", {"source": {"kind": "finite_chain", "model_path": "m.json",
+                                 "n_samples": 50, "seed": 0},
+                      "interleave": "round_robin"}, []),
+        ("learn", {"source": {"kind": "finite_iid", "model_path": "m.json",
+                              "n_samples": 50, "seed": 0},
+                   "interleave": "round_robin"}, []),
     ])
     def test_csv_source_rejects_unused_settings(self, tmp_path, capsys, command, extra, key):
-        # a csv stream is read as written: a seed or an interleave cannot act
+        # a csv stream is read as written: a seed or an interleave cannot act;
+        # a finite source draws one sequence, so an interleave cannot act there
         (tmp_path / "s.csv").write_text("0.5,0.5,0.5,0.5\n0.1,0.2,0.3,0.4\n")
+        save_chain(tmp_path / "m.json")
         cfg = duffing_config()
         cfg["stream"] = {"source": {"kind": "csv", "path": "s.csv",
                                     "dim_x": 2, "dim_y": 2}, **extra}
         (tmp_path / "cfg.json").write_text(json.dumps(cfg))
         out = tmp_path / "out"
         assert run_cli(command, "--config", tmp_path / "cfg.json", "--out", out, *key) == 2
-        assert ("--seed" if key else "$.stream.interleave") in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert ("--seed" if key else "$.stream.interleave") in err
+        assert cfg["stream"]["source"]["kind"] in err
         assert not out.exists()
 
     def test_budget_squared_flag_changes_decisions(self, tmp_path):
@@ -580,6 +629,15 @@ class TestCliCompare:
                        "--stream", out / "stream.csv",
                        "--model-json", tmp_path / "chain.json", f"--lambda={lam}") == 2
         assert "lambda must be positive and finite" in capsys.readouterr().err
+        assert not (out / "convergence.csv").exists()
+
+    @pytest.mark.parametrize("oracle, flag", [("batch", "--stream"),
+                                              ("exact", "--model-json")])
+    def test_oracle_needs_its_input(self, tmp_path, capsys, oracle, flag):
+        out = chain_run(tmp_path)
+        assert run_cli("compare", "--run-dir", out, "--oracle", oracle,
+                       "--lambda", "0.1") == 2
+        assert flag in capsys.readouterr().err
         assert not (out / "convergence.csv").exists()
 
     def test_missing_checkpoints_error(self, tmp_path, gauss03, rng):

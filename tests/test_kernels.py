@@ -126,6 +126,17 @@ class TestCrossGram:
         G = gram_matrix(gauss03, cols)
         assert np.allclose(C, G[:3, :], atol=0, rtol=0)
 
+    def test_gaussian_temporaries_are_block_sized(self, gauss03, rng):
+        # squares are added one coordinate at a time: no n x m x dim tensor
+        rows, cols = rng.uniform(-1, 1, (300, 9)), rng.uniform(-1, 1, (200, 9))
+        tracemalloc.start()
+        try:
+            cross_gram(gauss03, rows, cols)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 300 * 200 * 8
+
     def test_dim_mismatch(self, gauss03):
         with pytest.raises(InputError):
             cross_gram(gauss03, [(0.0, 0.0)], [(1.0, 2.0, 3.0)])

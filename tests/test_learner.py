@@ -1,3 +1,6 @@
+import os
+import re
+
 import numpy as np
 import pytest
 
@@ -311,6 +314,25 @@ class TestStep:
         assert scalars() == before and state.cfg is cfg
         assert np.array_equal(state.coefficients, W)
 
+    @pytest.mark.parametrize("change", [
+        {"eta": 0.1}, {"lam": 0.2}, {"budget": ConstantBudget(0.02)},
+        {"jitter_scale": 1e-9}, {"max_dictionary": 50},
+    ], ids=["eta", "lambda", "budget", "jitter", "max_dictionary"])
+    def test_other_config_rejected_before_the_state_changes(self, gauss03, rng, change):
+        # a state runs under its own config; an equal copy is the same config
+        base = {"budget": ConstantBudget(0.01)}
+        cfg = make_cfg(gauss03, **base)
+        state = new_state(cfg)
+        for _ in range(5):
+            step(state, cfg, (rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)))
+        step(state, make_cfg(gauss03, **base), ([0.3, 0.3], [0.1, 0.1]))
+        before, W = (state.t, state.dict_size, len(state.stats), state.hs_norm), \
+            state.coefficients
+        with pytest.raises(ConfigError, match="mid-run"):
+            step(state, make_cfg(gauss03, **{**base, **change}), ([0.2, 0.4], [0.4, 0.2]))
+        assert (state.t, state.dict_size, len(state.stats), state.hs_norm) == before
+        assert state.cfg is cfg and np.array_equal(state.coefficients, W)
+
 
 def on_state_grid(rep, states):
     """The same operator written over the dictionary of pairs (s, s): the
@@ -541,6 +563,18 @@ class TestRunStream:
             checkpoint_marks([2, 5], 4)
         with pytest.raises(InputError, match="whole number"):
             checkpoint_marks([0], 4)
+
+    def test_readme_quick_start_runs(self, capsys):
+        with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
+            block = re.search(r"## Library quick start\n\n```python\n(.*?)```",
+                              fh.read(), re.S).group(1)
+        ns = {}
+        exec(block, ns)
+        state = ns["state"]
+        assert capsys.readouterr().out == f"{state.dict_size}\n"
+        assert state.t == 3550 and 250 <= state.dict_size <= 350    # "~300 of 3550"
+        assert [t for t, _ in ns["checkpoints"]] == [1000, 3550]
+        assert len(ns["spec"]) == 5 and ns["field"].values.shape == (1600,)
 
     def test_checkpoint_reps_are_snapshots(self, gauss03, rng):
         cfg = make_cfg(gauss03)
