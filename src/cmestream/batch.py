@@ -21,15 +21,6 @@ from .operator import (Dictionary, OperatorRep, hs_distance, hs_norm, json_field
                        read_json)
 
 
-@dataclass(frozen=True)
-class BatchSolution:
-    """Regularized empirical solution over the full sample dictionary."""
-
-    rep: OperatorRep
-    n: int
-    lam: float
-
-
 def _sample_arrays(samples):
     xs = np.asarray([np.asarray(s[0], dtype=float).reshape(-1) for s in samples])
     ys = np.asarray([np.asarray(s[1], dtype=float).reshape(-1) for s in samples])
@@ -43,7 +34,7 @@ def _check_lambda(lam: float):
         raise InputError("lambda must be positive and finite")
 
 
-def batch_solution(samples, lam: float, kernel_x: Kernel, kernel_y: Kernel) -> BatchSolution:
+def batch_solution(samples, lam: float, kernel_x: Kernel, kernel_y: Kernel) -> OperatorRep:
     """W = (G_X + n*lam*I)^-1 over the dictionary of all n samples.
 
     Follows from the push-through identity
@@ -56,8 +47,7 @@ def batch_solution(samples, lam: float, kernel_x: Kernel, kernel_y: Kernel) -> B
     G = gram_matrix(kernel_x, xs)
     W = np.linalg.solve(G + n * lam * np.eye(n), np.eye(n))
     W = 0.5 * (W + W.T)
-    rep = OperatorRep(dict=Dictionary(xs, ys), W=W, kernel_x=kernel_x, kernel_y=kernel_y)
-    return BatchSolution(rep=rep, n=n, lam=lam)
+    return OperatorRep(dict=Dictionary(xs, ys), W=W, kernel_x=kernel_x, kernel_y=kernel_y)
 
 
 def gradient_norm_gram(U: OperatorRep, samples, lam: float) -> float:

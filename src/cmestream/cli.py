@@ -163,8 +163,7 @@ def cmd_compare(args) -> int:
         if not args.stream:
             raise InputError("--oracle batch needs --stream CSV")
         xs, ys = read_stream_csv(args.stream, final.dict.dim_x, final.dict.dim_y)
-        ref = batch_solution(list(zip(xs, ys)), args.lam,
-                             final.kernel_x, final.kernel_y).rep
+        ref = batch_solution(list(zip(xs, ys)), args.lam, final.kernel_x, final.kernel_y)
     else:
         if not args.model_json:
             raise InputError("--oracle exact needs --model-json")

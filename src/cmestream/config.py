@@ -22,7 +22,7 @@ import numpy as np
 
 from .batch import FiniteSpaceModel
 from .dynamics import (DuffingParams, DuffingTrajectories, FiniteChainStream,
-                       FiniteIIDStream, StreamSpec, generate_stream)
+                       FiniteIIDStream, generate_stream)
 from .errors import ConfigError, InputError
 from .kernels import Kernel
 from .learner import (ConstantBudget, ConstantStep, CubicBudget, LearnerConfig,
@@ -341,7 +341,8 @@ def build_stream(data: dict, base_dir: str = ".", seed: Optional[int] = None):
             raise ConfigError("--seed does not apply to a csv stream source")
         return read_stream_csv(os.path.join(base_dir, src["path"]),
                                src["dim_x"], src["dim_y"])
-    keys = _keys(src, "model_path")
+    # the stream section's own keys (an interleave) go to the source too
+    keys = {**_keys(src, "model_path"), **_keys(data["stream"], "source")}
     keys["seed"] = seed if seed is not None else src.get("seed")
     if keys["seed"] is None:
         raise ConfigError("invalid config at $.stream.source.seed: a seed is required")
@@ -351,5 +352,4 @@ def build_stream(data: dict, base_dir: str = ".", seed: Optional[int] = None):
         keys["init_box"] = tuple(map(tuple, src["init_box"]))
     if "params" in src:
         keys["params"] = DuffingParams(**src["params"])
-    source = _SOURCES[src["kind"]](**keys)
-    return generate_stream(StreamSpec(source=source, **_keys(data["stream"], "source")))
+    return generate_stream(_SOURCES[src["kind"]](**keys))

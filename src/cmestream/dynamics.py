@@ -3,7 +3,7 @@
 Duffing-oscillator trajectory simulation (fixed-step RK4 under a coarser
 sampling interval), finite-state Markov-chain and IID sampling, and
 total-variation / mixing-time diagnostics.  All randomness flows through
-seeded generators, so identical specs produce bitwise-identical streams.
+seeded generators, so identical sources produce bitwise-identical streams.
 """
 
 from __future__ import annotations
@@ -28,11 +28,14 @@ class DuffingParams:
     sample_interval: float = 0.25
 
     def __post_init__(self):
-        if self.dt_integrator <= 0 or self.sample_interval <= 0:
-            raise InputError("integrator step and sample interval must be positive")
+        if not (0 < self.dt_integrator < np.inf and 0 < self.sample_interval < np.inf):
+            raise InputError("integrator step and sample interval must be finite and positive")
         ratio = self.sample_interval / self.dt_integrator
-        if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
-            raise InputError("sample_interval must be an integer multiple of dt_integrator")
+        # a ratio that rounds to 0 would take no substeps: a frozen stream
+        if not (ratio < np.inf and round(ratio) >= 1
+                and abs(ratio - round(ratio)) <= 1e-9 * ratio):
+            raise InputError("sample_interval must be a positive integer multiple "
+                             "of dt_integrator")
 
     @property
     def substeps(self) -> int:
@@ -84,16 +87,34 @@ def duffing_trajectory(init, n_steps: int, p: DuffingParams) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Stream specifications
+# Stream sources
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class DuffingTrajectories:
+    """``n_traj`` trajectories of ``steps_per_traj`` pairs each, from initial
+    states drawn uniformly in ``init_box``; ``interleave`` orders the pairs
+    trajectory by trajectory ("sequential") or step by step ("round_robin")."""
+
     n_traj: int
     steps_per_traj: int
     seed: int
     init_box: tuple = ((-2.0, 2.0), (-2.0, 2.0))
     params: DuffingParams = field(default_factory=DuffingParams)
+    interleave: str = "sequential"
+
+    def __post_init__(self):
+        if self.n_traj < 1 or self.steps_per_traj < 1:
+            raise InputError("need at least one trajectory and one step")
+        box = np.asarray(self.init_box, dtype=float)
+        if box.shape != (2, 2):
+            raise InputError("init_box must give (lo, hi) per state dimension")
+        with np.errstate(over="ignore"):
+            finite = np.isfinite(box).all() and np.isfinite(box[:, 1] - box[:, 0]).all()
+        if not finite:
+            raise InputError("init_box bounds and widths must be finite")
+        if self.interleave not in ("sequential", "round_robin"):
+            raise InputError(f"unknown interleave mode {self.interleave!r}")
 
 
 @dataclass(frozen=True)
@@ -114,27 +135,13 @@ class FiniteIIDStream:
 Source = Union[DuffingTrajectories, FiniteChainStream, FiniteIIDStream]
 
 
-@dataclass(frozen=True)
-class StreamSpec:
-    source: Source
-    interleave: str = "sequential"
-
-    def __post_init__(self):
-        if self.interleave not in ("sequential", "round_robin"):
-            raise InputError(f"unknown interleave mode {self.interleave!r}")
-
-
-def _duffing_pairs(src: DuffingTrajectories, interleave: str):
-    if src.n_traj < 1 or src.steps_per_traj < 1:
-        raise InputError("need at least one trajectory and one step")
+def _duffing_pairs(src: DuffingTrajectories):
     rng = np.random.default_rng(src.seed)
     box = np.asarray(src.init_box, dtype=float)
-    if box.shape != (2, 2):
-        raise InputError("init_box must give (lo, hi) per state dimension")
     inits = rng.uniform(box[:, 0], box[:, 1], size=(src.n_traj, 2))
     traj = duffing_trajectory(inits, src.steps_per_traj, src.params)
     # traj: (steps+1, n_traj, 2)
-    if interleave == "sequential":
+    if src.interleave == "sequential":
         xs = traj[:-1].transpose(1, 0, 2).reshape(-1, 2)
         ys = traj[1:].transpose(1, 0, 2).reshape(-1, 2)
     else:
@@ -180,11 +187,10 @@ def _finite_iid_pairs(src: FiniteIIDStream):
     return model.x_states[ix], model.y_states[iy]
 
 
-def generate_stream(spec: StreamSpec):
+def generate_stream(src: Source):
     """Materialize a stream as ``(xs, ys)`` arrays of shape (n, dim)."""
-    src = spec.source
     if isinstance(src, DuffingTrajectories):
-        return _duffing_pairs(src, spec.interleave)
+        return _duffing_pairs(src)
     if isinstance(src, FiniteChainStream):
         return _finite_chain_pairs(src)
     if isinstance(src, FiniteIIDStream):

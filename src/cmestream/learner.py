@@ -283,10 +283,6 @@ class LearnerState:
         self._flush()
         return self._c * self._Wf[:d, :d]
 
-    @property
-    def rep(self) -> OperatorRep:
-        return self.snapshot_rep()
-
     def snapshot_rep(self) -> OperatorRep:
         d = self.dict_size
         if d == 0:
@@ -483,10 +479,11 @@ def checkpoint_marks(checkpoints, n_samples: Optional[int] = None) -> set:
     Raises ``InputError`` for a mark that is not a whole number >= 1, and,
     when the stream length ``n_samples`` is given, for a mark past its end.
     """
-    for t in checkpoints or ():
+    given = [] if checkpoints is None else list(checkpoints)
+    for t in given:
         if not (isinstance(t, numbers.Real) and t >= 1 and float(t).is_integer()):
             raise InputError(f"checkpoint {t!r} is not a whole number >= 1")
-    marks = set(map(int, checkpoints or ()))
+    marks = set(map(int, given))
     if n_samples is not None and marks and max(marks) > n_samples:
         raise InputError(f"checkpoint {max(marks)} is past the end of the "
                          f"{n_samples}-sample stream")

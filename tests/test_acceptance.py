@@ -16,7 +16,7 @@ import pytest
 from cmestream import (ConstantBudget, ConstantStep, Dictionary,
                        FiniteChainStream, FiniteIIDStream, FiniteSpaceModel,
                        GridSpec, Kernel, LearnerConfig, OperatorRep,
-                       PolynomialStep, QuadraticBudget, StreamSpec, ZeroBudget,
+                       PolynomialStep, QuadraticBudget, ZeroBudget,
                        batch_solution, compression_delta, distance_to_oracle,
                        DuffingParams, DuffingTrajectories, duffing_trajectory,
                        eval_kernel, exact_finite_cme, generate_stream,
@@ -70,8 +70,7 @@ def test_criterion_2_compression_contract():
     cfg = LearnerConfig(lam=lam, step_schedule=ConstantStep(eta),
                         budget_schedule=ConstantBudget(eps),
                         kernel_x=kernel, kernel_y=kernel)
-    xs, ys = generate_stream(StreamSpec(
-        source=DuffingTrajectories(n_traj=50, steps_per_traj=10, seed=21)))
+    xs, ys = generate_stream(DuffingTrajectories(n_traj=50, steps_per_traj=10, seed=21))
     state = new_state(cfg)
     worst = -np.inf
     n_rejected = 0
@@ -154,8 +153,8 @@ def test_criterion_5_batch_stationarity():
                 rng = np.random.default_rng(9000 + 97 * n + seed)
                 samples = [(rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2))
                            for _ in range(n)]
-                sol = batch_solution(samples, lam, kernel, kernel)
-                worst = max(worst, gradient_norm_gram(sol.rep, samples, lam))
+                ref = batch_solution(samples, lam, kernel, kernel)
+                worst = max(worst, gradient_norm_gram(ref, samples, lam))
     report(5, worst <= 1e-8,
            f"max gradient norm at the batch solution = {worst:.2e} <= 1e-8 "
            f"(n in {{5,50,200}}, lambda in {{1e-3,0.1,1}}, 5 seeds)")
@@ -193,8 +192,8 @@ def chain_runs():
             cfg = LearnerConfig(lam=CHAIN_LAM, step_schedule=ConstantStep(eta),
                                 budget_schedule=ZeroBudget(),
                                 kernel_x=CHAIN_KERNEL, kernel_y=CHAIN_KERNEL)
-            sx, sy = generate_stream(StreamSpec(source=FiniteChainStream(
-                model=model, n_samples=5000, burn_in=0, seed=seed)))
+            sx, sy = generate_stream(FiniteChainStream(
+                model=model, n_samples=5000, burn_in=0, seed=seed))
             _, reps = run_stream(cfg, zip(sx, sy), checkpoints=marks)
             dists = {t: distance_to_oracle(rep, ref) for t, rep in reps}
             out[eta].append(dists)
@@ -253,8 +252,8 @@ def test_criterion_7_iid_diminishing_trend():
                             step_schedule=PolynomialStep(0.2, 50, 1.0),
                             budget_schedule=QuadraticBudget(1.0),
                             kernel_x=CHAIN_KERNEL, kernel_y=CHAIN_KERNEL)
-        sx, sy = generate_stream(StreamSpec(source=FiniteIIDStream(
-            model=model, n_samples=2000, seed=seed)))
+        sx, sy = generate_stream(FiniteIIDStream(
+            model=model, n_samples=2000, seed=seed))
         _, reps = run_stream(cfg, zip(sx, sy), checkpoints=[50, 2000])
         dists = {t: distance_to_oracle(rep, ref) for t, rep in reps}
         good += dists[2000] < dists[50]
@@ -279,8 +278,8 @@ def duffing_runs():
     t0 = time.time()
     out = {}
     for seed in DUFFING_SEEDS:
-        xs, ys = generate_stream(StreamSpec(source=DuffingTrajectories(
-            n_traj=355, steps_per_traj=10, seed=seed)))
+        xs, ys = generate_stream(DuffingTrajectories(
+            n_traj=355, steps_per_traj=10, seed=seed))
         runs = {}
         for name, budget in (("zero", ZeroBudget()),
                              ("cubic", ConstantBudget(2 * DUFFING_ETA ** 3)),
@@ -317,7 +316,7 @@ def test_criterion_8c_quadratic_budget_band(duffing_runs):
 def test_criterion_8d_leading_eigenvalue_near_one(duffing_runs):
     mods = []
     for s in DUFFING_SEEDS:
-        spec = koopman_spectrum(duffing_runs[s]["cubic"].rep, 5)
+        spec = koopman_spectrum(duffing_runs[s]["cubic"].snapshot_rep(), 5)
         mods.append(abs(spec.eigenvalues[0]))
     report("8d", all(abs(m - 1.0) <= 0.1 for m in mods),
            f"leading eigenvalue moduli: {[f'{m:.3f}' for m in mods]} "
@@ -354,7 +353,7 @@ def test_criterion_8e_basin_identification(duffing_runs, basin_ground_truth):
     grid, labels, keep = basin_ground_truth
     agreements = []
     for s in DUFFING_SEEDS:
-        spec = koopman_spectrum(duffing_runs[s]["cubic"].rep, 5)
+        spec = koopman_spectrum(duffing_runs[s]["cubic"].snapshot_rep(), 5)
         idx, field = leading_sign_indefinite_field(spec, grid)
         if field is None:
             agreements.append(0.0)
@@ -382,7 +381,7 @@ def test_criterion_9_uncompressed_equivalence():
     samples = [(rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)) for _ in range(100)]
     state, _ = run_stream(cfg, samples)
     ref = naive_uncompressed(samples, cfg)
-    d = hs_distance(state.rep, ref)
+    d = hs_distance(state.snapshot_rep(), ref)
     report(9, state.dict_size == 100 and d <= 1e-8,
            f"distance to the literal coefficient recursion after 100 steps "
            f"= {d:.2e} <= 1e-8")

@@ -16,25 +16,25 @@ def random_samples(rng, n, dim=2):
     return [(rng.uniform(-1, 1, dim), rng.uniform(-1, 1, dim)) for _ in range(n)]
 
 
-class TestBatchSolution:
+class TestBatchOracle:
     def test_single_sample_closed_form(self, gauss03):
         lam = 0.3
-        sol = batch_solution([([0.1, 0.1], [0.5, 0.5])], lam, gauss03, gauss03)
-        assert sol.rep.W[0, 0] == pytest.approx(1.0 / (1.0 + lam), rel=1e-12)
+        ref = batch_solution([([0.1, 0.1], [0.5, 0.5])], lam, gauss03, gauss03)
+        assert ref.W[0, 0] == pytest.approx(1.0 / (1.0 + lam), rel=1e-12)
 
     def test_large_lambda_shrinks_to_zero(self, gauss03, rng):
         samples = random_samples(rng, 5)
-        sol = batch_solution(samples, 1e6, gauss03, gauss03)
-        assert np.max(np.abs(sol.rep.W)) < 1e-6
+        ref = batch_solution(samples, 1e6, gauss03, gauss03)
+        assert np.max(np.abs(ref.W)) < 1e-6
 
     def test_w_symmetric(self, gauss03, rng):
-        sol = batch_solution(random_samples(rng, 8), 0.1, gauss03, gauss03)
-        assert np.array_equal(sol.rep.W, sol.rep.W.T)
+        ref = batch_solution(random_samples(rng, 8), 0.1, gauss03, gauss03)
+        assert np.array_equal(ref.W, ref.W.T)
 
     def test_stationarity(self, gauss05, rng):
         samples = random_samples(rng, 5)
-        sol = batch_solution(samples, 0.1, gauss05, gauss05)
-        assert gradient_norm_gram(sol.rep, samples, 0.1) <= 1e-8
+        ref = batch_solution(samples, 0.1, gauss05, gauss05)
+        assert gradient_norm_gram(ref, samples, 0.1) <= 1e-8
 
     def test_lambda_positive_required(self, gauss03, rng):
         with pytest.raises(InputError):
@@ -54,11 +54,11 @@ class TestGradientNorm:
 
     def test_scaled_solution_has_larger_residual(self, gauss05, rng):
         samples = random_samples(rng, 5)
-        sol = batch_solution(samples, 0.1, gauss05, gauss05)
-        doubled = OperatorRep(dict=sol.rep.dict, W=2.0 * sol.rep.W,
+        ref = batch_solution(samples, 0.1, gauss05, gauss05)
+        doubled = OperatorRep(dict=ref.dict, W=2.0 * ref.W,
                               kernel_x=gauss05, kernel_y=gauss05)
         assert (gradient_norm_gram(doubled, samples, 0.1)
-                > gradient_norm_gram(sol.rep, samples, 0.1))
+                > gradient_norm_gram(ref, samples, 0.1))
 
     def test_dictionary_mismatch(self, gauss05, rng):
         samples = random_samples(rng, 4)
@@ -123,7 +123,7 @@ class TestLambdaRejected:
 
     def test_gradient_norm_gram(self, gauss05, rng, lam):
         samples = random_samples(rng, 3)
-        rep = batch_solution(samples, 0.1, gauss05, gauss05).rep
+        rep = batch_solution(samples, 0.1, gauss05, gauss05)
         self.check(lambda: gradient_norm_gram(rep, samples, lam))
 
     def test_exact_finite_cme(self, gauss05, three_state_chain, lam):

@@ -7,7 +7,7 @@ import pytest
 
 from cmestream import (ConfigError, ConstantStep, DuffingParams, DuffingTrajectories,
                        FiniteChainStream, FiniteSpaceModel, Kernel, PolynomialStep,
-                       QuadraticBudget, StreamSpec, ZeroBudget, generate_stream,
+                       QuadraticBudget, ZeroBudget, generate_stream,
                        load_rep, run_stream, save_rep)
 from cmestream.cli import main
 from cmestream.config import (CONFIG_SCHEMA, build_learner_config, build_stream,
@@ -149,8 +149,8 @@ class TestBuilders:
         raw["stream"]["source"] = {"kind": "finite_chain", "model_path": "chain.json",
                                    "n_samples": 40, "seed": 5}
         xs, ys = build_stream(raw, base_dir=str(tmp_path))
-        ref = generate_stream(StreamSpec(source=FiniteChainStream(
-            model=model, n_samples=40, seed=5)))
+        ref = generate_stream(FiniteChainStream(
+            model=model, n_samples=40, seed=5))
         assert np.array_equal(xs, ref[0]) and np.array_equal(ys, ref[1])
 
     def test_budget_squared_override(self):
@@ -175,10 +175,10 @@ class TestBuilders:
                     "dt_integrator": 0.02, "sample_interval": 0.3})
         raw["stream"]["interleave"] = "round_robin"
         xs, ys = build_stream(raw)
-        ref = generate_stream(StreamSpec(source=DuffingTrajectories(
+        ref = generate_stream(DuffingTrajectories(
             n_traj=5, steps_per_traj=7, seed=11, init_box=((-1.0, 0.5), (0.0, 1.5)),
             params=DuffingParams(delta=0.3, beta=-0.5, alpha=1.5, dt_integrator=0.02,
-                                 sample_interval=0.3)), interleave="round_robin"))
+                                 sample_interval=0.3), interleave="round_robin"))
         assert np.array_equal(xs.view(np.int64), ref[0].view(np.int64))
         assert np.array_equal(ys.view(np.int64), ref[1].view(np.int64))
         default = build_stream(duffing_config(n_traj=5, steps=7, seed=11))
@@ -392,18 +392,28 @@ class TestCliLearn:
         assert key in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("section, key", [("kernel", "bandwidth"),
-                                              ("learner", "jitter_scale")])
+    @pytest.mark.parametrize("section, key", [
+        ("kernel", "bandwidth"), ("learner", "jitter_scale"),
+        ("stream.source.params", "sample_interval"),
+        ("stream.source.params", "dt_integrator"), ("stream.source.init_box.1", 0)])
     def test_overflowing_setting_rejected(self, tmp_path, capsys, section, key):
-        # 1e999 parses as inf, so it passes the schema but not the builders
+        # 1e999 parses as inf, so it passes the schema but not the builders;
+        # an infinite sample interval or box bound used to end in an
+        # OverflowError, and an infinite integrator step ran 0 substeps
         path = tmp_path / "cfg.json"
         cfg = duffing_config(budget={"kind": "cubic", "b_cmp": 2.0})
-        cfg[section][key] = 1.0
-        path.write_text(json.dumps(cfg).replace(f'"{key}": 1.0', f'"{key}": 1e999'))
+        cfg["stream"]["source"].update(init_box=[[-2.0, 2.0], [-2.0, 2.0]], params={})
+        parent = cfg
+        for name in section.split("."):
+            parent = parent[int(name) if name.isdigit() else name]
+        parent[key] = 0.123456789
+        path.write_text(json.dumps(cfg).replace("0.123456789", "1e999"))
         out = tmp_path / "run"
-        assert run_cli("learn", "--config", path, "--out", out) == 2
-        assert "finite" in capsys.readouterr().err
-        assert not out.exists()
+        # only the learner reads the kernel and learner sections
+        for command in ("simulate", "learn") if section.startswith("stream") else ("learn",):
+            assert run_cli(command, "--config", path, "--out", out) == 2
+            assert "finite" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_nan_jitter_scale_exits_fast(self, tmp_path):
         # a NaN jitter never ended the factor's escalation loop

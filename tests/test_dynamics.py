@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from cmestream import (DuffingParams, DuffingTrajectories, FiniteChainStream,
                        FiniteIIDStream, FiniteSpaceModel, InputError,
-                       ModelError, StreamSpec, duffing_step, duffing_trajectory,
+                       ModelError, duffing_step, duffing_trajectory,
                        generate_stream, mixing_time, tv_distance)
 
 EQ_PARAMS = DuffingParams()     # delta=0.5, beta=-1, alpha=1
@@ -36,6 +38,15 @@ class TestDuffingStep:
         with pytest.raises(InputError):
             DuffingParams(dt_integrator=0.03, sample_interval=0.25)
 
+    @pytest.mark.parametrize("dt, interval", [
+        (np.inf, 0.25), (0.01, np.inf), (np.nan, 0.25), (0.01, -0.25),
+        # ratios that round to no substeps, or overflow to infinity
+        (1e300, 0.25), (1.0, 1e-12), (1e-300, 1e300)])
+    def test_step_and_interval_must_give_whole_substeps(self, dt, interval):
+        # an infinite step used to give 0 substeps: a stream of (x, x) pairs
+        with pytest.raises(InputError):
+            DuffingParams(dt_integrator=dt, sample_interval=interval)
+
     def test_rk4_order(self):
         # halving dt cuts the one-interval error against a dt/8 reference by
         # >= 12x (nominal 16x for a 4th-order scheme), away from equilibria
@@ -60,26 +71,26 @@ def chain_model():
 
 class TestGenerateStream:
     def test_duffing_pairs_are_chained(self):
-        spec = StreamSpec(source=DuffingTrajectories(n_traj=1, steps_per_traj=10, seed=5))
+        spec = DuffingTrajectories(n_traj=1, steps_per_traj=10, seed=5)
         xs, ys = generate_stream(spec)
         assert xs.shape == (10, 2)
         assert np.array_equal(ys[:-1], xs[1:])
 
     def test_paper_scale_stream_size(self):
-        spec = StreamSpec(source=DuffingTrajectories(n_traj=355, steps_per_traj=10, seed=1))
+        spec = DuffingTrajectories(n_traj=355, steps_per_traj=10, seed=1)
         xs, ys = generate_stream(spec)
         assert xs.shape == (3550, 2) and ys.shape == (3550, 2)
 
     def test_seed_determinism_bitwise(self):
-        spec = StreamSpec(source=DuffingTrajectories(n_traj=5, steps_per_traj=4, seed=11))
+        spec = DuffingTrajectories(n_traj=5, steps_per_traj=4, seed=11)
         a = generate_stream(spec)
         b = generate_stream(spec)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
     def test_interleave_orders(self):
         src = DuffingTrajectories(n_traj=3, steps_per_traj=2, seed=2)
-        seq = generate_stream(StreamSpec(source=src, interleave="sequential"))
-        rr = generate_stream(StreamSpec(source=src, interleave="round_robin"))
+        seq = generate_stream(src)
+        rr = generate_stream(replace(src, interleave="round_robin"))
         # same multiset of pairs, different order
         assert sorted(map(tuple, seq[0].tolist())) == sorted(map(tuple, rr[0].tolist()))
         assert np.array_equal(seq[0][0], rr[0][0])
@@ -87,8 +98,7 @@ class TestGenerateStream:
 
     def test_init_box_respected(self):
         box = ((0.5, 0.6), (-0.1, 0.0))
-        spec = StreamSpec(source=DuffingTrajectories(n_traj=50, steps_per_traj=1,
-                                                     seed=3, init_box=box))
+        spec = DuffingTrajectories(n_traj=50, steps_per_traj=1, seed=3, init_box=box)
         xs, _ = generate_stream(spec)
         assert np.all(xs[:, 0] >= 0.5) and np.all(xs[:, 0] <= 0.6)
         assert np.all(xs[:, 1] >= -0.1) and np.all(xs[:, 1] <= 0.0)
@@ -97,22 +107,19 @@ class TestGenerateStream:
         model = FiniteSpaceModel(
             x_states=np.array([[0.0], [1.0]]), y_states=np.array([[0.0], [1.0]]),
             joint=np.full((2, 2), 0.25), transition=np.eye(2))
-        spec = StreamSpec(source=FiniteChainStream(model=model, n_samples=20,
-                                                   burn_in=5, seed=9))
+        spec = FiniteChainStream(model=model, n_samples=20, burn_in=5, seed=9)
         xs, ys = generate_stream(spec)
         assert np.array_equal(xs, ys)
         assert np.all(xs == xs[0])
 
     def test_chain_pairs_are_chained(self, chain_model):
-        spec = StreamSpec(source=FiniteChainStream(model=chain_model, n_samples=50,
-                                                   burn_in=3, seed=4))
+        spec = FiniteChainStream(model=chain_model, n_samples=50, burn_in=3, seed=4)
         xs, ys = generate_stream(spec)
         assert np.array_equal(ys[:-1], xs[1:])
         assert set(map(tuple, xs.tolist())) <= {(0.0,), (1.0,), (2.0,)}
 
     def test_iid_matches_joint_frequencies(self, chain_model):
-        spec = StreamSpec(source=FiniteIIDStream(model=chain_model,
-                                                 n_samples=20000, seed=8))
+        spec = FiniteIIDStream(model=chain_model, n_samples=20000, seed=8)
         xs, ys = generate_stream(spec)
         freq = np.zeros((3, 3))
         for x, y in zip(xs[:, 0], ys[:, 0]):
@@ -125,8 +132,31 @@ class TestGenerateStream:
                                  y_states=chain_model.y_states,
                                  joint=chain_model.joint)
         with pytest.raises(InputError):
-            generate_stream(StreamSpec(source=FiniteChainStream(
-                model=model, n_samples=5, burn_in=0, seed=1)))
+            generate_stream(FiniteChainStream(
+                model=model, n_samples=5, burn_in=0, seed=1))
+
+    def test_unknown_interleave_rejected(self):
+        with pytest.raises(InputError, match="zigzag"):
+            DuffingTrajectories(n_traj=2, steps_per_traj=2, seed=0, interleave="zigzag")
+
+    def test_finite_source_takes_no_interleave(self, chain_model):
+        # a finite source draws one sequence, so it has no order to choose
+        with pytest.raises(TypeError):
+            FiniteChainStream(model=chain_model, n_samples=5, seed=0,
+                              interleave="round_robin")
+        with pytest.raises(TypeError):
+            FiniteIIDStream(model=chain_model, n_samples=5, seed=0,
+                            interleave="sequential")
+
+    @pytest.mark.parametrize("keys", [
+        {"n_traj": 0}, {"steps_per_traj": 0},
+        {"init_box": ((-2.0, 2.0),)}, {"init_box": ((-2.0, np.inf), (-2.0, 2.0))},
+        {"init_box": ((-2.0, 2.0), (np.nan, 2.0))},
+        # finite bounds whose width overflows
+        {"init_box": ((-1e308, 1e308), (-2.0, 2.0))}])
+    def test_source_checked_when_made(self, keys):
+        with pytest.raises(InputError):
+            DuffingTrajectories(**{"n_traj": 2, "steps_per_traj": 2, "seed": 0, **keys})
 
 
 simplex3 = st.lists(st.floats(0.01, 1.0), min_size=3, max_size=3).map(

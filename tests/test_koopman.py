@@ -5,7 +5,7 @@ import pytest
 
 from cmestream import (ConstantStep, CubicBudget, Dictionary, DuffingTrajectories,
                        GridSpec, InputError, Kernel, KoopmanSpectrum, LearnerConfig,
-                       NumericalError, OperatorRep, StreamSpec, ZeroBudget,
+                       NumericalError, OperatorRep, ZeroBudget,
                        cross_gram, eigen_spectrum, eval_eigenfunction, eval_kernel,
                        generate_stream, grid_eval, gram_matrix, koopman_matrix,
                        koopman_spectrum, run_stream, save_rep)
@@ -115,11 +115,11 @@ def eig_pairs(M):
 def readme_duffing_rep(n_traj, budget):
     """The README Duffing learner over the first ``10 * n_traj`` pairs."""
     kernel = Kernel.gaussian(0.3)
-    xs, ys = generate_stream(StreamSpec(source=DuffingTrajectories(
-        n_traj=n_traj, steps_per_traj=10, seed=0)))
+    xs, ys = generate_stream(DuffingTrajectories(
+        n_traj=n_traj, steps_per_traj=10, seed=0))
     cfg = LearnerConfig(lam=0.0012, step_schedule=ConstantStep(0.2),
                         budget_schedule=budget, kernel_x=kernel, kernel_y=kernel)
-    return run_stream(cfg, zip(xs, ys))[0].rep
+    return run_stream(cfg, zip(xs, ys))[0].snapshot_rep()
 
 
 class TestInverseIteration:

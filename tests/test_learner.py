@@ -7,7 +7,7 @@ import pytest
 from cmestream import (CapacityError, ConfigError, ConstantBudget, ConstantStep,
                        CubicBudget, Dictionary, DuffingTrajectories, FiniteChainStream,
                        FiniteSpaceModel, GramCache, InputError, Kernel, LearnerConfig,
-                       OperatorRep, PolynomialStep, QuadraticBudget, StreamSpec,
+                       OperatorRep, PolynomialStep, QuadraticBudget,
                        ZeroBudget, checkpoint_marks, compression_delta, eval_kernel,
                        generate_stream, gram_matrix, hs_distance, hs_norm,
                        inverse_with_jitter, new_state, project_coefficients,
@@ -220,7 +220,7 @@ class TestStep:
         expected = 0.2 ** 2 * (x @ x) * (y @ y)
         assert rec.accepted and rec.delta == pytest.approx(expected, rel=1e-15)
         assert rec.hs_norm == pytest.approx(np.sqrt(expected), rel=1e-15)
-        assert hs_norm(state.rep) == pytest.approx(np.sqrt(expected), rel=1e-12)
+        assert hs_norm(state.snapshot_rep()) == pytest.approx(np.sqrt(expected), rel=1e-12)
 
     def test_repeated_sample_rejected(self, gauss03):
         cfg = make_cfg(gauss03, budget=ConstantBudget(0.01))
@@ -386,7 +386,7 @@ class TestEquivalenceWithDirectImplementation:
         samples = [(rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)) for _ in range(100)]
         state, _ = run_stream(cfg, samples)
         ref = naive_uncompressed(samples, cfg)
-        assert hs_distance(state.rep, ref) <= 1e-8
+        assert hs_distance(state.snapshot_rep(), ref) <= 1e-8
 
     def test_polynomial_schedule_matches_naive(self, gauss03, rng):
         cfg = LearnerConfig(lam=0.1, step_schedule=PolynomialStep(0.2, 20, 0.8),
@@ -395,7 +395,7 @@ class TestEquivalenceWithDirectImplementation:
         samples = [(rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)) for _ in range(60)]
         state, _ = run_stream(cfg, samples)
         ref = naive_uncompressed(samples, cfg)
-        assert hs_distance(state.rep, ref) <= 1e-10
+        assert hs_distance(state.snapshot_rep(), ref) <= 1e-10
 
     def test_compressed_run_matches_textbook_loop(self, gauss05, rng):
         lam, eta, eps = 0.1, 0.2, 0.05
@@ -406,7 +406,7 @@ class TestEquivalenceWithDirectImplementation:
         state, _ = run_stream(cfg, samples)
         assert [r.accepted for r in state.stats] == decisions
         assert state.dict_size == len(ref)
-        assert hs_distance(state.rep, ref) <= 1e-7
+        assert hs_distance(state.snapshot_rep(), ref) <= 1e-7
 
     @pytest.mark.parametrize("lam, eta, eps, snapshot_every", [
         (0.1, 0.2, 0.05, None),   # projected runs far longer than one block
@@ -430,8 +430,8 @@ class TestEquivalenceWithDirectImplementation:
                 state.snapshot_rep()
         assert [r.accepted for r in state.stats] == decisions
         assert state.dict_size == len(ref)
-        assert hs_distance(state.rep, ref) <= 1e-7
-        assert state.hs_norm == pytest.approx(hs_norm(state.rep), rel=1e-9)
+        assert hs_distance(state.snapshot_rep(), ref) <= 1e-7
+        assert state.hs_norm == pytest.approx(hs_norm(state.snapshot_rep()), rel=1e-9)
 
     @pytest.mark.parametrize("lam, eta", [(0.1, 0.1), (1.0, 1.0)])
     def test_finite_chain_exact_folds_match_naive(self, gauss05, lam, eta):
@@ -445,14 +445,14 @@ class TestEquivalenceWithDirectImplementation:
         P = 0.5 * np.outer(np.ones(3), [0.5, 0.3, 0.2]) + 0.5 * np.eye(3)
         model = FiniteSpaceModel.from_chain(states, P)
         cfg = make_cfg(gauss05, lam=lam, eta=eta)
-        sx, sy = generate_stream(StreamSpec(source=FiniteChainStream(
-            model=model, n_samples=300, burn_in=0, seed=0)))
+        sx, sy = generate_stream(FiniteChainStream(
+            model=model, n_samples=300, burn_in=0, seed=0))
         samples = list(zip(sx, sy))
         state, _ = run_stream(cfg, samples)
         folds = sum(r.delta == 0.0 for r in state.stats)
         assert folds == len(samples) - state.dict_size and folds > 250
         ref = naive_uncompressed(samples, cfg)
-        assert hs_distance(on_state_grid(state.rep, states),
+        assert hs_distance(on_state_grid(state.snapshot_rep(), states),
                            on_state_grid(ref, states)) <= 1e-10
 
     def test_total_decay_drops_pending_block(self, gauss05, rng):
@@ -479,7 +479,7 @@ class TestEquivalenceWithDirectImplementation:
         samples = [(rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)) for _ in range(40)]
         state, _ = run_stream(cfg, samples)
         ref = naive_uncompressed(samples, cfg)
-        assert hs_distance(state.rep, ref) <= 1e-10
+        assert hs_distance(state.snapshot_rep(), ref) <= 1e-10
 
 
 class TestRunStream:
@@ -536,6 +536,17 @@ class TestRunStream:
         samples = [(rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)) for _ in range(5)]
         _, reps = run_stream(make_cfg(gauss03), samples, checkpoints=[4.0, 2, 2])
         assert [t for t, _ in reps] == [2, 4]
+
+    def test_array_checkpoints_act_like_a_list(self, gauss03, rng):
+        # an array's truth value is ambiguous, so `checkpoints or ()` raised
+        samples = [(rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)) for _ in range(5)]
+        _, want = run_stream(make_cfg(gauss03), samples, checkpoints=[2, 4])
+        _, got = run_stream(make_cfg(gauss03), samples, checkpoints=np.array([2, 4]))
+        assert [t for t, _ in got] == [t for t, _ in want] == [2, 4]
+        for (_, a), (_, b) in zip(got, want):
+            assert np.array_equal(a.W, b.W) and np.array_equal(a.dict.xs, b.dict.xs)
+        with pytest.raises(InputError, match="past the end"):
+            run_stream(make_cfg(gauss03), samples, checkpoints=np.array([2, 9]))
 
     def test_on_step_sees_every_step(self, gauss03, rng):
         samples = [(rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)) for _ in range(6)]
@@ -598,7 +609,7 @@ class TestLearnerInvariants:
         state = new_state(cfg)
         for _ in range(150):
             step(state, cfg, (rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)))
-        assert state.hs_norm == pytest.approx(hs_norm(state.rep), rel=1e-9)
+        assert state.hs_norm == pytest.approx(hs_norm(state.snapshot_rep()), rel=1e-9)
 
     def test_rejected_steps_respect_budget(self, gauss05, rng):
         eps = 0.05
@@ -649,8 +660,8 @@ class TestLearnerInvariants:
 def duffing_state(seed, budget):
     """The README Duffing learner (bandwidth 0.3, lambda 1.2e-3, eta 0.2)."""
     kernel = Kernel.gaussian(0.3)
-    xs, ys = generate_stream(StreamSpec(source=DuffingTrajectories(
-        n_traj=355, steps_per_traj=10, seed=seed)))
+    xs, ys = generate_stream(DuffingTrajectories(
+        n_traj=355, steps_per_traj=10, seed=seed))
     cfg = LearnerConfig(lam=1.2e-3, step_schedule=ConstantStep(0.2),
                         budget_schedule=budget, kernel_x=kernel, kernel_y=kernel)
     return run_stream(cfg, zip(xs, ys))[0]
@@ -687,14 +698,14 @@ class TestGramFactorHealth:
         assert state.gram_y.jitter == pytest.approx(1e-10, rel=1e-12)
         assert state.dict_size <= 600
         # G u = r - jitter u is least exact on this badly conditioned run
-        assert state.hs_norm == pytest.approx(hs_norm(state.rep), rel=1e-9)
+        assert state.hs_norm == pytest.approx(hs_norm(state.snapshot_rep()), rel=1e-9)
 
     def test_admit_factor_row_matches_fresh_append(self):
         # the admit reuses the test's R k_x; the factor must equal one grown
         # by fresh rows over the same atoms (capacity grows 16 -> 32 -> 64)
         kernel = Kernel.gaussian(0.3)
-        xs, ys = generate_stream(StreamSpec(source=DuffingTrajectories(
-            n_traj=40, steps_per_traj=10, seed=1)))
+        xs, ys = generate_stream(DuffingTrajectories(
+            n_traj=40, steps_per_traj=10, seed=1))
         cfg = LearnerConfig(lam=1.2e-3, step_schedule=ConstantStep(0.2),
                             budget_schedule=CubicBudget(2.0),
                             kernel_x=kernel, kernel_y=kernel)
@@ -719,7 +730,7 @@ class TestGramFactorHealth:
         cfg = make_cfg(Kernel.gaussian(bandwidth), budget=ConstantBudget(eps))
         xs, ys = pairs(rng, 400)
         state, _ = run_stream(cfg, zip(xs, ys))
-        assert state.hs_norm == pytest.approx(hs_norm(state.rep), rel=1e-9)
+        assert state.hs_norm == pytest.approx(hs_norm(state.snapshot_rep()), rel=1e-9)
 
 
 class TestLongRuns:
@@ -730,12 +741,12 @@ class TestLongRuns:
         pi = np.array([0.5, 0.3, 0.2])
         P = 0.5 * np.outer(np.ones(3), pi) + 0.5 * np.eye(3)
         model = FiniteSpaceModel.from_chain(np.array([[0.0], [1.0], [2.0]]), P)
-        xs, ys = generate_stream(StreamSpec(source=FiniteChainStream(
-            model=model, n_samples=100_000, burn_in=0, seed=0)))
+        xs, ys = generate_stream(FiniteChainStream(
+            model=model, n_samples=100_000, burn_in=0, seed=0))
         state, _ = run_stream(make_cfg(Kernel.gaussian(0.5), lam=0.1, eta=0.1),
                               zip(xs, ys))
         assert state.t == 100_000 and state.dict_size <= 5
-        assert state.hs_norm == pytest.approx(hs_norm(state.rep), rel=1e-9)
+        assert state.hs_norm == pytest.approx(hs_norm(state.snapshot_rep()), rel=1e-9)
 
     # at lambda*eta = 1 every step decays W to zero; at 1 - 1e-12 the scalar
     # factor falls below _MIN_FACTOR and is folded into W every few steps.
@@ -743,10 +754,10 @@ class TestLongRuns:
     @pytest.mark.parametrize("lam_eta", [pytest.param(1.0, marks=pytest.mark.longrun),
                                          1 - 1e-12])
     def test_duffing_1e4_steps_near_total_decay(self, lam_eta):
-        xs, ys = generate_stream(StreamSpec(source=DuffingTrajectories(
-            n_traj=1000, steps_per_traj=10, seed=0)))
+        xs, ys = generate_stream(DuffingTrajectories(
+            n_traj=1000, steps_per_traj=10, seed=0))
         cfg = make_cfg(Kernel.gaussian(0.3), lam=5.0, eta=lam_eta / 5.0,
                        budget=CubicBudget(2.0))
         state, _ = run_stream(cfg, zip(xs, ys))
         assert state.t == 10_000
-        assert state.hs_norm == pytest.approx(hs_norm(state.rep), rel=1e-9)
+        assert state.hs_norm == pytest.approx(hs_norm(state.snapshot_rep()), rel=1e-9)
