@@ -44,9 +44,13 @@ def batch_solution(samples, lam: float, kernel_x: Kernel, kernel_y: Kernel) -> O
     _check_lambda(lam)
     xs, ys = _sample_arrays(samples)
     n = xs.shape[0]
+    # in place, so that at most two n x n arrays are held at once
     G = gram_matrix(kernel_x, xs)
-    W = np.linalg.solve(G + n * lam * np.eye(n), np.eye(n))
-    W = 0.5 * (W + W.T)
+    G.flat[:: n + 1] += n * lam
+    W = np.linalg.inv(G)
+    del G
+    W += W.T
+    W *= 0.5
     return OperatorRep(dict=Dictionary(xs, ys), W=W, kernel_x=kernel_x, kernel_y=kernel_y)
 
 

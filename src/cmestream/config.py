@@ -288,6 +288,17 @@ _SOURCES = {"duffing": DuffingTrajectories, "finite_chain": FiniteChainStream,
             "finite_iid": FiniteIIDStream}
 
 
+def _whole(schema: dict, value):
+    """``value`` with each float where ``schema`` types an integer (it admits
+    ``2.0`` there) made an int, so ``2.0`` builds what ``2`` builds."""
+    if isinstance(value, dict):
+        return {k: _whole(schema.get("properties", {}).get(k, {}), v) for k, v in value.items()}
+    types = schema.get("type", ())
+    if isinstance(value, float) and "integer" in ([types] if isinstance(types, str) else types):
+        return int(value)
+    return value
+
+
 def _keys(section: dict, *skip: str) -> dict:
     """A validated section's keys other than ``kind`` and ``skip``, which
     are the keyword arguments of the type the section maps onto."""
@@ -295,6 +306,7 @@ def _keys(section: dict, *skip: str) -> dict:
 
 
 def build_learner_config(data: dict) -> LearnerConfig:
+    data = _whole(CONFIG_SCHEMA, data)
     lrn = data["learner"]
     step, budget = lrn["step"], lrn["budget"]
     return LearnerConfig(
@@ -330,6 +342,7 @@ def write_stream_csv(path, xs: np.ndarray, ys: np.ndarray):
 
 def build_stream(data: dict, base_dir: str = ".", seed: Optional[int] = None):
     """Materialize the configured stream as ``(xs, ys)`` arrays."""
+    data = _whole(CONFIG_SCHEMA, data)
     src = data["stream"]["source"]
     # only duffing trajectories have an order to interleave; a csv source is
     # read in file order and a finite source draws one sequence

@@ -23,24 +23,23 @@ MAX_JITTER_SCALE = 1e-4
 INVERSE_RTOL = 1e-8
 SCHUR_FALLBACK_RTOL = 1e-12
 
-# spare columns per capacity-buffer row: with power-of-two capacities an
-# unpadded row stride is a multiple of 4 KiB, so every row of a d x d pass
-# would start on the same cache sets
-_ROW_PAD = 8
-
-
-def capacity_buffer(rows: int, cap: int, fill=np.empty) -> np.ndarray:
-    """A ``(rows, cap)`` view of a ``(rows, cap + _ROW_PAD)`` array made by
-    ``fill`` (``np.empty`` or ``np.zeros``)."""
-    return fill((rows, cap + _ROW_PAD))[:, :cap]
-
-
 def grown_capacity(cap: int, need: int) -> int:
-    """The capacity that holds ``need``: ``max(16, cap)``, doubled until it does."""
+    """The capacity that holds ``need``: ``max(16, cap)``, grown by a quarter
+    until it does (16, 20, 25, 31, ...).  Below 2^26 none is a multiple of
+    256, so no row stride is a multiple of 2 KiB, where every row of a d x d
+    pass would start on the same cache sets."""
     new_cap = max(16, cap)
     while new_cap < need:
-        new_cap *= 2
+        new_cap += new_cap // 4
     return new_cap
+
+
+def grown_buffer(block: np.ndarray, shape: tuple, fill=np.empty) -> np.ndarray:
+    """A new ``shape`` array made by ``fill`` (``np.empty`` or ``np.zeros``)
+    whose leading block is a copy of ``block``."""
+    out = fill(shape)
+    out[: block.shape[0], : block.shape[1]] = block
+    return out
 
 
 def clamp_roundoff(raw: float, scale: float, rtol: float, message: str) -> float:
@@ -124,14 +123,17 @@ def _as_points(points, name: str) -> np.ndarray:
 
 def _pairwise(kernel: Kernel, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     if kernel.family == "gaussian":
-        # squares added in coordinate order, as GramCache._kvec adds them; each
-        # coordinate's temporary is the size of the block
+        # squares added in coordinate order, as GramCache._kvec adds them; one
+        # temporary the size of the block, and the rest in place
         sq = np.zeros((rows.shape[0], cols.shape[0]))
+        diff = np.empty_like(sq)
         for k in range(rows.shape[1]):
-            diff = rows[:, k, None] - cols[None, :, k]
+            np.subtract(rows[:, k, None], cols[None, :, k], out=diff)
             diff *= diff
             sq += diff
-        return np.exp(-sq / (2.0 * kernel.bandwidth ** 2))
+        np.negative(sq, out=sq)
+        sq /= 2.0 * kernel.bandwidth ** 2
+        return np.exp(sq, out=sq)
     if kernel.family == "linear":
         return rows @ cols.T
     out = np.asarray(kernel.fn(rows, cols), dtype=float)
@@ -266,7 +268,8 @@ def woodbury_append(G_inv, new_column, new_diag: float) -> np.ndarray:
 class GramCache:
     """Append-only Gram matrix over dictionary points with a lazy inverse factor.
 
-    The points grow one at a time inside a capacity-doubling buffer.  The
+    The points grow one at a time inside a buffer whose capacity grows by
+    ``grown_capacity``, as do the Gram buffer and the factor.  The
     Gram buffer is built on first read of ``G`` and then kept current by
     appends; a cache whose ``G`` is never read never holds one.  Its
     jittered inverse is held as a lower-triangular factor ``R``
@@ -279,9 +282,8 @@ class GramCache:
     factorization.  Runs that never solve (pure admission, zero compression
     budget) never pay for the factor.
 
-    The points, the Gram buffer and the factor sit in ``capacity_buffer``
-    views.  The points are held coordinate-major (one row per coordinate),
-    so a kernel vector streams each coordinate row once.
+    The points are held coordinate-major (one row per coordinate), so a
+    kernel vector streams each coordinate row once.
 
     The cache also owns each point's checks (``_point``) and identity:
     ``find`` looks a point up in an index from its bytes to its first row.
@@ -307,7 +309,7 @@ class GramCache:
         """The cached points as a C-ordered ``(size, dim)`` array (a copy)."""
         if self._pts is None:
             return np.zeros((0, 0))
-        return np.ascontiguousarray(self._pts[:, : self.size].T)
+        return self._pts[:, : self.size].T.copy()
 
     @property
     def G(self) -> np.ndarray:
@@ -316,7 +318,7 @@ class GramCache:
             return np.zeros((0, 0))
         if self._G is None:
             cap = self._pts.shape[1]
-            self._G = self._gram(self.size, capacity_buffer(cap, cap))
+            self._G = self._gram(self.size, np.empty((cap, cap)))
         return self._G[: self.size, : self.size]
 
     def _gram(self, n: int, out: np.ndarray) -> np.ndarray:
@@ -373,18 +375,12 @@ class GramCache:
         cap = self._pts.shape[1]
         if need <= cap:
             return
-        new_cap = grown_capacity(cap, need)
-        new_pts = capacity_buffer(self._pts.shape[0], new_cap)
-        new_pts[:, : self.size] = self._pts[:, : self.size]
-        self._pts = new_pts
+        cap, n = grown_capacity(cap, need), self.size
+        self._pts = grown_buffer(self._pts[:, :n], (self._pts.shape[0], cap))
         if self._G is not None:
-            new_G = capacity_buffer(new_cap, new_cap)
-            new_G[: self.size, : self.size] = self._G[: self.size, : self.size]
-            self._G = new_G
+            self._G = grown_buffer(self._G[:n, :n], (cap, cap))
         if self._R is not None:
-            new_R = capacity_buffer(new_cap, new_cap, np.zeros)
-            new_R[: self.size, : self.size] = self._R[: self.size, : self.size]
-            self._R = new_R
+            self._R = grown_buffer(self._R[:n, :n], (cap, cap), np.zeros)
 
     def append(self, point, kvec: Optional[np.ndarray] = None, diag: Optional[float] = None,
                parts: Optional[tuple] = None):
@@ -424,7 +420,7 @@ class GramCache:
         R, self.jitter = _inverse_factor(self._gram(n, np.empty((n, n))), self.jitter_scale)
         if self._R is None:
             cap = self._pts.shape[1]
-            self._R = capacity_buffer(cap, cap, np.zeros)
+            self._R = np.zeros((cap, cap))
         self._R[:n, :n] = R
 
     def _factor_view(self) -> np.ndarray:

@@ -38,7 +38,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from .errors import CapacityError, ConfigError, InputError
-from .kernels import (DEFAULT_JITTER_SCALE, GramCache, Kernel, capacity_buffer, clamp_roundoff,
+from .kernels import (DEFAULT_JITTER_SCALE, GramCache, Kernel, clamp_roundoff, grown_buffer,
                       grown_capacity, self_kernel)
 from .operator import Dictionary, OperatorRep, zero_rep
 
@@ -287,12 +287,12 @@ class LearnerState:
         d = self.dict_size
         if d == 0:
             return zero_rep(0, 0, self.cfg.kernel_x, self.cfg.kernel_y)
-        return OperatorRep(
-            dict=Dictionary(self.gram_x.points, self.gram_y.points),
-            W=self.coefficients,
-            kernel_x=self.cfg.kernel_x,
-            kernel_y=self.cfg.kernel_y,
-        )
+        # fresh arrays, read-only so that the rep adopts them uncopied
+        xs, ys, W = self.gram_x.points, self.gram_y.points, self.coefficients
+        for a in (xs, ys, W):
+            a.setflags(write=False)
+        return OperatorRep(dict=Dictionary(xs, ys), W=W,
+                           kernel_x=self.cfg.kernel_x, kernel_y=self.cfg.kernel_y)
 
     @property
     def hs_norm(self) -> float:
@@ -307,11 +307,9 @@ class LearnerState:
         new_cap = grown_capacity(cap, need)
         self._flush()
         d = self.dict_size
-        buf = capacity_buffer(new_cap, new_cap)
-        buf[:d, :d] = self._Wf[:d, :d]
-        self._Wf = buf
-        self._Ut = capacity_buffer(_BLOCK, new_cap)
-        self._Vt = capacity_buffer(_BLOCK, new_cap)
+        self._Wf = grown_buffer(self._Wf[:d, :d], (new_cap, new_cap))
+        self._Ut = np.empty((_BLOCK, new_cap))
+        self._Vt = np.empty((_BLOCK, new_cap))
 
     def _flush(self):
         """Add the pending block into ``Wf``: ``Wf += U V^T``."""

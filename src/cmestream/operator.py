@@ -22,6 +22,10 @@ NEG_CLAMP_RTOL = 1e-10
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
+    """``a`` as a read-only float64 array: adopted if it already is one that
+    owns its data, else copied, so that no caller's writable array aliases it."""
+    if a.dtype == np.float64 and a.flags.owndata and not a.flags.writeable:
+        return a
     a = np.array(a, dtype=float)
     a.setflags(write=False)
     return a

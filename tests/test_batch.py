@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -39,6 +40,22 @@ class TestBatchOracle:
     def test_lambda_positive_required(self, gauss03, rng):
         with pytest.raises(InputError):
             batch_solution(random_samples(rng, 3), 0.0, gauss03, gauss03)
+
+    def test_traced_peak_two_gram_sized_arrays(self, gauss05, rng):
+        n, lam = 700, 1.2e-3
+        samples = random_samples(rng, n)
+        tracemalloc.start()
+        try:
+            ref = batch_solution(samples, lam, gauss05, gauss05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * n * n * 8
+        # the reference formula, bitwise
+        G = gram_matrix(gauss05, [x for x, _ in samples])
+        W = np.linalg.solve(G + n * lam * np.eye(n), np.eye(n))
+        W = 0.5 * (W + W.T)
+        assert np.array_equal(ref.W.view(np.int64), W.view(np.int64))
 
 
 class TestGradientNorm:

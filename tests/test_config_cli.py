@@ -517,6 +517,62 @@ class TestCliLearn:
         assert len(n_sq) != len(n_sqrt)
 
 
+class TestIntegralFloatCounts:
+    """The schema takes an integral float such as ``2.0`` as an integer;
+    each such key runs exactly as its integer spelling does."""
+
+    def config(self, run_dir, kind) -> dict:
+        """A config with a ``kind`` source, its input files written to ``run_dir``."""
+        cfg = duffing_config(checkpoints=[2, 6])
+        if kind == "finite_chain":
+            save_chain(run_dir / "chain.json")
+            cfg["stream"]["source"] = {"kind": kind, "model_path": "chain.json",
+                                       "n_samples": 12, "burn_in": 2, "seed": 3}
+        elif kind == "csv":
+            xs, ys = generate_stream(DuffingTrajectories(n_traj=3, steps_per_traj=4, seed=1))
+            write_stream_csv(run_dir / "in.csv", xs, ys)
+            cfg["stream"]["source"] = {"kind": kind, "path": "in.csv", "dim_x": 2, "dim_y": 2}
+        elif kind == "capped":          # the dictionary limit ends the run at step 6
+            cfg["learner"]["max_dictionary"] = 5
+        return cfg
+
+    def outputs(self, run_dir, capsys, cfg, monkeypatch) -> tuple:
+        """Exit codes, printed text and written files of ``cme simulate`` and
+        ``cme learn`` on ``cfg``, run from ``run_dir``."""
+        (run_dir / "cfg.json").write_text(json.dumps(cfg))
+        monkeypatch.chdir(run_dir)
+        printed = [(run_cli(command, "--config", "cfg.json", "--out", "out"),
+                    capsys.readouterr()) for command in ("simulate", "learn")]
+        files = {p.name: p.read_bytes() for p in sorted((run_dir / "out").iterdir())}
+        return printed, files
+
+    @pytest.mark.parametrize("kind, section, key", [
+        ("duffing", "source", "n_traj"),
+        ("duffing", "source", "steps_per_traj"),
+        ("duffing", "source", "seed"),
+        ("finite_chain", "source", "n_samples"),
+        ("finite_chain", "source", "burn_in"),
+        ("finite_chain", "source", "seed"),
+        ("csv", "source", "dim_x"),
+        ("csv", "source", "dim_y"),
+        ("capped", "learner", "max_dictionary"),
+    ])
+    def test_float_spelling_runs_as_the_integer(self, tmp_path, capsys, monkeypatch,
+                                                kind, section, key):
+        runs = []
+        for name in ("int", "float"):
+            run_dir = tmp_path / name
+            run_dir.mkdir()
+            cfg = self.config(run_dir, kind)
+            keys = cfg["learner"] if section == "learner" else cfg["stream"]["source"]
+            if name == "float":
+                keys[key] = float(keys[key])
+                assert f'"{key}": {keys[key]!r}' in json.dumps(cfg)     # spelled k.0
+            runs.append(self.outputs(run_dir, capsys, cfg, monkeypatch))
+        assert runs[0] == runs[1]
+        assert [code for code, _ in runs[0][0]] == [0, 2 if kind == "capped" else 0]
+
+
 class TestCliKoopman:
     def test_spectrum_and_fields(self, duffing_cfg_file, tmp_path):
         out = tmp_path / "run"

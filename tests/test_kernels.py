@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from cmestream import (ConstantStep, GramCache, InputError, Kernel, LearnerConfig,
                        NumericalError, ZeroBudget, cross_gram, eval_kernel,
                        gram_matrix, inverse_with_jitter, new_state, woodbury_append)
-from cmestream.kernels import _inverse_factor, clamp_roundoff
+from cmestream.kernels import _inverse_factor, clamp_roundoff, grown_capacity
 from cmestream.learner import _DELTA_CLAMP_RTOL, _clamped_delta
 from cmestream.operator import NEG_CLAMP_RTOL, Dictionary, OperatorRep, hs_norm_sq
 from conftest import run_child
@@ -361,7 +361,7 @@ class TestGramOnDemand:
             with_gram = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        square = 1024 ** 2 * 8          # the capacity-1024 Gram buffer
+        square = grown_capacity(16, 600) ** 2 * 8     # the Gram buffer of 600 points
         assert held < square / 8
         assert with_gram - held >= square
 
@@ -395,35 +395,53 @@ class TestGramOnDemand:
         assert built.jitter > 0.0 and read.jitter == built.jitter
         assert np.array_equal(read._factor_view(), built._factor_view())
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_points_is_a_copy(self, gauss05, rng, dim):
+        # a (size, 1) slice of the coordinate-major buffer is already C-contiguous
+        pts = rng.uniform(-1, 1, (5, dim))
+        cache = GramCache(gauss05)
+        for p in pts:
+            cache.append(p)
+        cache.points[:] = 9.0
+        assert np.array_equal(cache.points, pts)
+
 
 class TestBufferLayout:
-    @pytest.mark.parametrize("cap", [2 ** k for k in range(4, 12)])
-    def test_no_row_stride_is_a_multiple_of_4k(self, gauss05, cap):
+    @pytest.mark.parametrize("need", [2 ** k for k in range(4, 12)])
+    def test_no_row_stride_is_a_multiple_of_4k(self, gauss05, need):
         # a 4 KiB-multiple row stride maps every row to the same cache sets
         cache = GramCache(gauss05)
         cache.append([0.0, 0.0])
         cache.G
         cache.inverse()                 # both square buffers exist
-        cache._grow(cap)
+        cache._grow(need)
         state = new_state(LearnerConfig(lam=0.1, step_schedule=ConstantStep(0.2),
                                         budget_schedule=ZeroBudget(),
                                         kernel_x=gauss05, kernel_y=gauss05))
-        state._grow(cap)
-        buffers = {"G": cache._G, "R": cache._R, "Wf": state._Wf,
+        state._grow(need)
+        buffers = {"points": cache._pts, "G": cache._G, "R": cache._R, "Wf": state._Wf,
                    "Ut": state._Ut, "Vt": state._Vt}
         for name, buf in buffers.items():
-            assert buf.shape[1] == cap, name
+            assert buf.shape[1] == grown_capacity(16, need), name
             assert buf.strides[0] % 4096 != 0, name
+
+    def test_no_capacity_is_a_multiple_of_256(self):
+        # so no row stride of float64 capacity buffers is a multiple of 2 KiB
+        caps = [grown_capacity(0, 1)]
+        while caps[-1] < 2 ** 24:
+            caps.append(grown_capacity(caps[-1], caps[-1] + 1))
+        assert caps[:5] == [16, 20, 25, 31, 38]
+        assert all(cap % 256 for cap in caps)
 
     @pytest.mark.parametrize("dim", list(range(1, 10)))
     def test_kernel_vector_bitwise_cross_gram_across_growth(self, rng, dim):
         # the caches add squared coordinate rows, cross_gram squared
-        # coordinate slices, both in coordinate order; 16 and 32 points
-        # fill a capacity exactly
+        # coordinate slices, both in coordinate order; 16, 20, 25 and 31
+        # points fill a capacity exactly
         kernel = Kernel.gaussian(0.7)
         pts = _gram_points(rng, dim)
         queries = np.vstack([rng.uniform(-1, 1, (3, dim)), pts[3], -np.zeros(dim)])
-        for n in (15, 16, 17, 31, 32, 33):
+        for n in (15, 16, 17, 20, 21, 25, 26, 31, 32):
             want = cross_gram(kernel, pts[:n], queries).T
             for cache in _two_caches(kernel, pts[:n]):
                 got = np.array([cache.kernel_vector(q) for q in queries])

@@ -1,5 +1,6 @@
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -587,6 +588,21 @@ class TestRunStream:
         assert [t for t, _ in ns["checkpoints"]] == [1000, 3550]
         assert len(ns["spec"]) == 5 and ns["field"].values.shape == (1600,)
 
+    def test_snapshot_copies_w_once(self, gauss03, rng):
+        xs, ys = rng.uniform(-2, 2, (600, 2)), rng.uniform(-2, 2, (600, 2))
+        state, _ = run_stream(make_cfg(gauss03), zip(xs, ys))
+        d = state.dict_size
+        assert d >= 500
+        tracemalloc.start()
+        try:
+            rep = state.snapshot_rep()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * d * d * 8
+        assert np.array_equal(rep.W, state.coefficients)
+        assert np.array_equal(rep.dict.xs, state.gram_x.points)
+
     def test_checkpoint_reps_are_snapshots(self, gauss03, rng):
         cfg = make_cfg(gauss03)
         samples = [(rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)) for _ in range(10)]
@@ -702,7 +718,7 @@ class TestGramFactorHealth:
 
     def test_admit_factor_row_matches_fresh_append(self):
         # the admit reuses the test's R k_x; the factor must equal one grown
-        # by fresh rows over the same atoms (capacity grows 16 -> 32 -> 64)
+        # by fresh rows over the same atoms (capacity grows 16 -> 20 -> 25 -> 31 -> 38)
         kernel = Kernel.gaussian(0.3)
         xs, ys = generate_stream(DuffingTrajectories(
             n_traj=40, steps_per_traj=10, seed=1))

@@ -283,6 +283,26 @@ class TestValidation:
         with pytest.raises(InputError):
             Dictionary(np.zeros((3, 2)), np.zeros((2, 2)))
 
+    def test_rep_does_not_alias_a_callers_array(self, gauss03, rng):
+        xs, ys, W = rng.uniform(size=(3, 2)), rng.uniform(size=(3, 2)), rng.normal(size=(3, 3))
+        rep = OperatorRep(dict=Dictionary(xs, ys), W=W, kernel_x=gauss03, kernel_y=gauss03)
+        kept = [a.copy() for a in (xs, ys, W)]
+        for a in (xs, ys, W):
+            a[0, 0] = 99.0
+        for got, want in zip((rep.dict.xs, rep.dict.ys, rep.W), kept):
+            assert np.array_equal(got, want)
+
+    def test_read_only_owned_array_is_adopted(self, gauss03, rng):
+        W = rng.normal(size=(3, 3))
+        W.setflags(write=False)
+        view = np.zeros((4, 4))[:3, :3]
+        view.setflags(write=False)
+        xs = rng.uniform(size=(3, 2))
+        for coef, adopted in ((W, True), (view, False)):
+            rep = OperatorRep(dict=Dictionary(xs, xs), W=coef, kernel_x=gauss03,
+                              kernel_y=gauss03)
+            assert (rep.W is coef) == adopted and not rep.W.flags.writeable
+
     def test_rep_is_immutable(self, gauss03, rng):
         rep = random_rep(rng, gauss03, 2)
         with pytest.raises(ValueError):
