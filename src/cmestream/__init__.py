@@ -29,8 +29,7 @@ from .koopman import (GridSpec, KoopmanSpectrum, eigen_spectrum,
                       koopman_spectrum)
 from .learner import (ConstantBudget, ConstantStep, CubicBudget, LearnerConfig,
                       LearnerState, PolynomialStep, QuadraticBudget, StepRecord,
-                      ZeroBudget, checkpoint_marks, compression_delta, new_state,
-                      project_coefficients, run_stream, sgd_expand, step)
+                      ZeroBudget, checkpoint_marks, new_state, run_stream, step)
 from .operator import (Dictionary, KmeWeights, OperatorRep,
                        conditional_expectation, hs_distance, hs_inner, hs_norm,
                        hs_norm_sq, load_rep, predict_coefficients,
@@ -47,14 +46,14 @@ __all__ = [
     "KmeWeights", "KoopmanSpectrum", "LearnerConfig", "LearnerState",
     "ModelError", "NumericalError", "OperatorRep", "PolynomialStep",
     "QuadraticBudget", "StepRecord", "ZeroBudget", "batch_solution",
-    "checkpoint_marks", "compression_delta", "conditional_expectation",
-    "cross_gram", "distance_to_oracle", "duffing_step", "duffing_trajectory",
-    "eigen_spectrum", "eval_eigenfunction", "eval_kernel", "exact_finite_cme",
-    "generate_stream", "gradient_norm_gram", "gram_matrix", "grid_eval",
-    "hs_distance", "hs_inner", "hs_norm", "hs_norm_sq", "inverse_with_jitter",
-    "koopman_matrix", "koopman_spectrum", "load_rep", "mixing_time",
-    "new_state", "predict_coefficients", "project_coefficients",
-    "propagate_kme", "rep_from_dict", "rep_to_dict", "run_stream", "save_rep",
-    "sgd_expand", "stationary_distribution", "step", "tv_distance",
-    "woodbury_append", "zero_rep",
+    "checkpoint_marks", "conditional_expectation", "cross_gram",
+    "distance_to_oracle", "duffing_step", "duffing_trajectory",
+    "eigen_spectrum", "eval_eigenfunction", "eval_kernel",
+    "exact_finite_cme", "generate_stream", "gradient_norm_gram",
+    "gram_matrix", "grid_eval", "hs_distance", "hs_inner", "hs_norm",
+    "hs_norm_sq", "inverse_with_jitter", "koopman_matrix",
+    "koopman_spectrum", "load_rep", "mixing_time", "new_state",
+    "predict_coefficients", "propagate_kme", "rep_from_dict",
+    "rep_to_dict", "run_stream", "save_rep", "stationary_distribution",
+    "step", "tv_distance", "woodbury_append", "zero_rep",
 ]

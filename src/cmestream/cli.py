@@ -104,10 +104,10 @@ def cmd_koopman(args) -> int:
     from .koopman import GridSpec, grid_eval, koopman_spectrum
     from .operator import load_rep
 
-    rep = load_rep(args.model)
-    spec = koopman_spectrum(rep, args.k)
     grid = GridSpec(mins=tuple(args.grid_min), maxs=tuple(args.grid_max),
                     counts=tuple(args.grid_counts))
+    rep = load_rep(args.model)
+    spec = koopman_spectrum(rep, args.k)
     fields = args.fields if args.fields is not None else range(len(spec))
     fields = list(dict.fromkeys(fields))        # each index once, in the order given
     for idx in fields:

@@ -9,6 +9,7 @@ style output.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -224,8 +225,12 @@ class GridSpec:
     def __post_init__(self):
         if not (len(self.mins) == len(self.maxs) == len(self.counts) == 2):
             raise InputError("grids must be two-dimensional")
+        if not all(isinstance(c, numbers.Integral) for c in self.counts):
+            raise InputError("grid counts must be integers")
         if any(c < 2 for c in self.counts):
             raise InputError("grids need at least 2 nodes per axis")
+        if not np.isfinite([*self.mins, *self.maxs]).all():
+            raise InputError("grid bounds must be finite")
         if any(hi <= lo for lo, hi in zip(self.mins, self.maxs)):
             raise InputError("grid maxs must exceed mins")
 

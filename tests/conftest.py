@@ -2,8 +2,10 @@
 
 The oracles here deliberately avoid the production code paths: quadruple
 sums over atoms for HS geometry, an explicitly assembled normal-equations
-solve for projections, and the plain full-dictionary coefficient recursion
-for the online learner.
+solve for projections, the Gram-form expansion, residual and projection on
+explicit coefficient and Gram matrices (which the learner's ``step``
+computes in factored form), and the plain full-dictionary coefficient
+recursion for the online learner.
 """
 
 import os
@@ -14,7 +16,9 @@ import numpy as np
 import pytest
 
 import cmestream
-from cmestream import Dictionary, Kernel, OperatorRep, eval_kernel, sgd_expand
+from cmestream import Dictionary, InputError, Kernel, OperatorRep, eval_kernel
+from cmestream.kernels import clamp_roundoff
+from cmestream.learner import _DELTA_CLAMP_RTOL
 
 
 @pytest.fixture
@@ -92,6 +96,81 @@ def projection_oracle(kernel, xs_old, ys_old, xs_new, ys_new, W_tilde):
     z, *_ = np.linalg.lstsq(A, b, rcond=None)
     residual = const - 2.0 * z @ b + z @ A @ z
     return z.reshape(d, d), residual, (A, b, const)
+
+
+# Gram-form primitives (reference operations on explicit coefficient and
+# Gram matrices; the learner's step computes their factored equivalents)
+
+def sgd_expand(W, k_x_new, eta: float, lam: float) -> np.ndarray:
+    """One stochastic-gradient expansion of the coefficient matrix.
+
+    Top-left block decays by ``(1 - lambda*eta)``, the new column carries
+    ``-eta * W k_x`` and the new diagonal entry is ``eta``.
+    """
+    W = np.asarray(W, dtype=float)
+    k = np.asarray(k_x_new, dtype=float).reshape(-1)
+    d = W.shape[0]
+    if W.shape != (d, d) or k.shape != (d,):
+        raise InputError("inconsistent shapes in sgd_expand")
+    if not (np.all(np.isfinite(W)) and np.all(np.isfinite(k))
+            and np.isfinite(eta) and np.isfinite(lam)):
+        raise InputError("non-finite inputs to sgd_expand")
+    out = np.zeros((d + 1, d + 1))
+    out[:d, :d] = (1.0 - lam * eta) * W
+    if d:
+        out[:d, d] = -eta * (W @ k)
+    out[d, d] = eta
+    return out
+
+
+def _clamped_delta(raw: float, scale: float) -> float:
+    return clamp_roundoff(raw, scale, _DELTA_CLAMP_RTOL,
+                          "compression residual came out negative")
+
+
+def compression_delta(W_tilde, G_x_big, G_y_big, Gbar_x, Gbar_y,
+                      Gx_inv, Gy_inv) -> float:
+    """Squared HS residual of projecting the expanded operator onto the span
+    of the old dictionary's product atoms.
+
+    Equals ``|U~|^2 - Tr(Z*^T B)`` with ``B = Gbar_y^T W~ Gbar_x`` and
+    ``Z* = Gy_inv B Gx_inv`` the least-squares coefficients; this is the
+    quantity the compression budget is compared against.
+    """
+    Wt = np.asarray(W_tilde, dtype=float)
+    n = Wt.shape[0]
+    d = n - 1
+    Gxb = np.asarray(G_x_big, dtype=float)
+    Gyb = np.asarray(G_y_big, dtype=float)
+    Gbx = np.asarray(Gbar_x, dtype=float)
+    Gby = np.asarray(Gbar_y, dtype=float)
+    Gxi = np.asarray(Gx_inv, dtype=float)
+    Gyi = np.asarray(Gy_inv, dtype=float)
+    if (Gxb.shape != (n, n) or Gyb.shape != (n, n) or Gbx.shape != (n, d)
+            or Gby.shape != (n, d) or Gxi.shape != (d, d) or Gyi.shape != (d, d)):
+        raise InputError("inconsistent Gram shapes in compression_delta")
+    t1 = float(np.sum(Wt * (Gyb @ Wt @ Gxb)))
+    if d == 0:
+        return _clamped_delta(t1, abs(t1))
+    B = Gby.T @ Wt @ Gbx
+    t2 = float(np.sum((Gyi @ B) * (B @ Gxi)))
+    return _clamped_delta(t1 - t2, abs(t1) + abs(t2))
+
+
+def project_coefficients(W_tilde, Gy_inv, Gbar_y, Gbar_x, Gx_inv) -> np.ndarray:
+    """Least-squares coefficients of the expanded operator over the old
+    dictionary: ``Z* = Gy_inv Gbar_y^T W~ Gbar_x Gx_inv``."""
+    Wt = np.asarray(W_tilde, dtype=float)
+    n = Wt.shape[0]
+    d = n - 1
+    Gby = np.asarray(Gbar_y, dtype=float)
+    Gbx = np.asarray(Gbar_x, dtype=float)
+    Gyi = np.asarray(Gy_inv, dtype=float)
+    Gxi = np.asarray(Gx_inv, dtype=float)
+    if (Gby.shape != (n, d) or Gbx.shape != (n, d)
+            or Gyi.shape != (d, d) or Gxi.shape != (d, d)):
+        raise InputError("inconsistent Gram shapes in project_coefficients")
+    return Gyi @ (Gby.T @ Wt @ Gbx) @ Gxi
 
 
 def naive_uncompressed(samples, cfg):

@@ -17,13 +17,12 @@ from cmestream import (ConstantBudget, ConstantStep, Dictionary,
                        FiniteChainStream, FiniteIIDStream, FiniteSpaceModel,
                        GridSpec, Kernel, LearnerConfig, OperatorRep,
                        PolynomialStep, QuadraticBudget, ZeroBudget,
-                       batch_solution, compression_delta, distance_to_oracle,
+                       batch_solution, distance_to_oracle,
                        DuffingParams, DuffingTrajectories, duffing_trajectory,
                        eval_kernel, exact_finite_cme, generate_stream,
-                       gradient_norm_gram, gram_matrix, grid_eval, hs_distance,
-                       inverse_with_jitter, koopman_spectrum, new_state,
-                       project_coefficients, run_stream, sgd_expand, step)
-from conftest import naive_uncompressed, projection_oracle
+                       gradient_norm_gram, grid_eval, hs_distance,
+                       koopman_spectrum, new_state, run_stream, step)
+from conftest import naive_uncompressed, projection_oracle, sgd_expand
 
 
 def report(criterion, ok, detail):
@@ -98,46 +97,71 @@ def test_criterion_2_compression_contract():
 # 3 & 4. Projection optimality and the compression-residual formula
 # ---------------------------------------------------------------------------
 
+PROJECTION_BUDGETS = (0.05, 0.1, 0.2)
+PROJECTION_SEEDS = range(6)
+PROJECTION_STEPS = 10
+
+
+def projection_stream(rng, n):
+    """``n`` random 2-d pairs; every fourth repeats an earlier pair, so that a
+    repeat of an admitted pair folds exactly."""
+    pairs = [(rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)) for _ in range(n)]
+    for t in range(3, n, 4):
+        pairs[t] = pairs[int(rng.integers(0, t))]
+    return pairs
+
+
 @pytest.fixture(scope="module")
 def projection_instances():
+    """The learner's rejected steps at 1 <= d <= 8, each set against the dense
+    least-squares oracle of its pre-step snapshot: ``(objective at the
+    post-step coefficients, oracle optimum, StepRecord.delta, exact fold?)``."""
     kernel = Kernel.gaussian(0.5)
-    rng = np.random.default_rng(77)
+    lam, eta = 0.1, 0.2
     out = []
-    for _ in range(50):
-        d = int(rng.integers(1, 9))
-        xs = rng.uniform(-1, 1, (d, 2))
-        ys = rng.uniform(-1, 1, (d, 2))
-        W = rng.normal(0, 0.5, (d, d))
-        x, y = rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)
-        eta, lam = 0.2, 0.1
-        kx = np.array([eval_kernel(kernel, xj, x) for xj in xs])
-        Wt = sgd_expand(W, kx, eta, lam)
-        xs_t, ys_t = np.vstack([xs, x]), np.vstack([ys, y])
-        Gxb, Gyb = gram_matrix(kernel, xs_t), gram_matrix(kernel, ys_t)
-        Gxi, _ = inverse_with_jitter(Gxb[:d, :d], 0.0)
-        Gyi, _ = inverse_with_jitter(Gyb[:d, :d], 0.0)
-        Z = project_coefficients(Wt, Gyi, Gyb[:, :d], Gxb[:, :d], Gxi)
-        delta = compression_delta(Wt, Gxb, Gyb, Gxb[:, :d], Gyb[:, :d], Gxi, Gyi)
-        _, oracle_res, (A, b, const) = projection_oracle(kernel, xs, ys, xs_t, ys_t, Wt)
-        v = Z.reshape(-1)
-        obj_at_Z = v @ A @ v - 2 * v @ b + const
-        out.append((obj_at_Z, oracle_res, delta))
+    for eps in PROJECTION_BUDGETS:
+        cfg = LearnerConfig(lam=lam, step_schedule=ConstantStep(eta),
+                            budget_schedule=ConstantBudget(eps),
+                            kernel_x=kernel, kernel_y=kernel)
+        for seed in PROJECTION_SEEDS:
+            state = new_state(cfg)
+            for x, y in projection_stream(np.random.default_rng(7700 + seed),
+                                          PROJECTION_STEPS):
+                prev = state.snapshot_rep()
+                step(state, cfg, (x, y))
+                rec = state.stats[-1]
+                if rec.accepted or not 1 <= len(prev) <= 8:
+                    continue
+                xs, ys = prev.dict.xs, prev.dict.ys
+                kx = np.array([eval_kernel(kernel, xj, x) for xj in xs])
+                Wt = sgd_expand(prev.W, kx, rec.eta, lam)
+                _, oracle_res, (A, b, const) = projection_oracle(
+                    kernel, xs, ys, np.vstack([xs, x]), np.vstack([ys, y]), Wt)
+                v = state.coefficients.reshape(-1)
+                exact = (xs == x).all(axis=1).any() and (ys == y).all(axis=1).any()
+                out.append((v @ A @ v - 2 * v @ b + const, oracle_res, rec.delta, exact))
     return out
 
 
+def coverage(instances):
+    folds = sum(exact for *_, exact in instances)
+    return (len(instances) >= 50 and 0 < folds < len(instances),
+            f"{len(instances)} rejected steps at d <= 8, {folds} of them exact folds")
+
+
 def test_criterion_3_projection_optimality(projection_instances):
-    t0 = time.time()
-    gap = max(obj - res for obj, res, _ in projection_instances)
-    elapsed = time.time() - t0
-    report(3, gap <= 1e-8,
-           f"max objective excess over dense LS oracle = {gap:.2e} <= 1e-8 "
-           f"(50 instances, d <= 8)")
+    gap = max(obj - res for obj, res, *_ in projection_instances)
+    covered, what = coverage(projection_instances)
+    report(3, covered and gap <= 1e-8,
+           f"max excess of the post-step objective over the dense LS optimum "
+           f"= {gap:.2e} <= 1e-8 ({what})")
 
 
 def test_criterion_4_residual_formula(projection_instances):
-    err = max(abs(delta - res) for _, res, delta in projection_instances)
-    report(4, err <= 1e-8,
-           f"max |compression_delta - oracle residual| = {err:.2e} <= 1e-8")
+    err = max(abs(delta - res) for _, res, delta, _ in projection_instances)
+    covered, what = coverage(projection_instances)
+    report(4, covered and err <= 1e-8,
+           f"max |StepRecord.delta - oracle residual| = {err:.2e} <= 1e-8 ({what})")
 
 
 # ---------------------------------------------------------------------------

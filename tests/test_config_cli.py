@@ -593,6 +593,8 @@ class TestCliKoopman:
         ("--fields", "0,7"),
         ("--fields", "0,0,7"),
         ("--grid-counts", "1,1"),
+        ("--grid-min", "nan,-2"),
+        ("--grid-max", "inf,2"),
     ])
     def test_flag_error_writes_nothing(self, duffing_cfg_file, tmp_path, flags):
         run_cli("learn", "--config", duffing_cfg_file, "--out", tmp_path / "run")
@@ -601,6 +603,12 @@ class TestCliKoopman:
                        "--out", out, *flags) == 2
         assert not (out / "spectrum.json").exists()
         assert not list(out.glob("eigfield_*.csv"))
+
+    def test_grid_checked_before_the_model_is_read(self, tmp_path, capsys):
+        # a bad grid flag exits before the model is loaded and analysed
+        assert run_cli("koopman", "--model", tmp_path / "missing.json",
+                       "--grid-max", "inf,2") == 2
+        assert "grid bounds must be finite" in capsys.readouterr().err
 
     def test_duplicate_fields_evaluated_once(self, duffing_cfg_file, tmp_path, capsys):
         run_cli("learn", "--config", duffing_cfg_file, "--out", tmp_path / "run")

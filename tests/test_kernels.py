@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmestream import (ConstantStep, GramCache, InputError, Kernel, LearnerConfig,
-                       NumericalError, ZeroBudget, cross_gram, eval_kernel,
-                       gram_matrix, inverse_with_jitter, new_state, woodbury_append)
+from cmestream import (ConstantBudget, ConstantStep, GramCache, InputError, Kernel,
+                       LearnerConfig, NumericalError, ZeroBudget, cross_gram, eval_kernel,
+                       gram_matrix, inverse_with_jitter, new_state, run_stream,
+                       woodbury_append)
 from cmestream.kernels import _inverse_factor, clamp_roundoff, grown_capacity
-from cmestream.learner import _DELTA_CLAMP_RTOL, _clamped_delta
+from cmestream.learner import _DELTA_CLAMP_RTOL
 from cmestream.operator import NEG_CLAMP_RTOL, Dictionary, OperatorRep, hs_norm_sq
 from conftest import run_child
 
@@ -483,6 +484,25 @@ def _diag_rep(a: float, b: float) -> OperatorRep:
                        kernel_y=Kernel.custom(diag, 1.0))
 
 
+def _step_residual(raw, scale):
+    """``step``'s clamped residual ``delta / eta^2`` for a second sample whose
+    terms are ``k_X(x,x) |g|^2 = (scale + raw)/2`` and ``fit = (scale - raw)/2``:
+    k_X is 1 everywhere, and k_Y (indefinite when ``raw < 0``) has G_Y = 4 fit
+    on the 1-d points 0 and 1, so that at eta = 1/4 the y-side solve is 1/2."""
+    eta, fit = 0.25, (scale - raw) / 2.0
+    g = 4.0 * fit                           # k_Y(0, 0)
+    beta = 2.0 * fit + g * eta              # k_Y(0, 1): r = beta - g eta = 2 fit
+    sigma = (scale + raw) / 2.0 + 2.0 * beta * eta - g * eta * eta     # k_Y(1, 1)
+    table = {(0.0, 0.0): g, (0.0, 1.0): beta, (1.0, 0.0): beta, (1.0, 1.0): sigma}
+    k_y = lambda r, c: np.array([[table[a[0], b[0]] for b in c] for a in r])
+    ones = lambda r, c: np.ones((r.shape[0], c.shape[0]))
+    cfg = LearnerConfig(lam=0.1, step_schedule=ConstantStep(eta),
+                        budget_schedule=ConstantBudget(1.0), jitter_scale=0.0,
+                        kernel_x=Kernel.custom(ones, 1.0), kernel_y=Kernel.custom(k_y, 4.0))
+    state, _ = run_stream(cfg, [([0.0], [0.0]), ([1.0], [1.0])])
+    return state.stats[-1].delta / eta ** 2
+
+
 def _operator_norm_sq(raw, scale):
     # terms a + b = raw with |a| + |b| = scale, for |raw| < scale
     return hs_norm_sq(_diag_rep((scale + raw) / 2.0, (raw - scale) / 2.0))
@@ -490,7 +510,7 @@ def _operator_norm_sq(raw, scale):
 
 class TestRoundoffClamp:
     SITES = {
-        "learner-delta": (_clamped_delta, _DELTA_CLAMP_RTOL,
+        "learner-delta": (_step_residual, _DELTA_CLAMP_RTOL,
                           "compression residual came out negative: "),
         "operator-hs-norm-sq": (_operator_norm_sq, NEG_CLAMP_RTOL,
                                 "squared norm came out negative beyond round-off: "),

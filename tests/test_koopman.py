@@ -1,14 +1,16 @@
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from cmestream import (ConstantStep, CubicBudget, Dictionary, DuffingTrajectories,
-                       GridSpec, InputError, Kernel, KoopmanSpectrum, LearnerConfig,
-                       NumericalError, OperatorRep, ZeroBudget,
+from cmestream import (ConstantBudget, ConstantStep, CubicBudget, Dictionary,
+                       DuffingTrajectories, GridSpec, InputError, Kernel, KoopmanSpectrum,
+                       LearnerConfig, OperatorRep, ZeroBudget,
                        cross_gram, eigen_spectrum, eval_eigenfunction, eval_kernel,
-                       generate_stream, grid_eval, gram_matrix, koopman_matrix,
+                       generate_stream, grid_eval, gram_matrix, hs_norm, koopman_matrix,
                        koopman_spectrum, run_stream, save_rep)
+from cmestream.cli import main
 from cmestream.koopman import RESIDUAL_RTOL, _normalize_pair
 from conftest import random_rep, run_child
 
@@ -328,6 +330,18 @@ class TestGridEval:
         with pytest.raises(InputError):
             GridSpec(mins=(-1, -1), maxs=(1, 1), counts=(1, 5))
 
+    @pytest.mark.parametrize("kw", [
+        {"mins": (np.nan, 0)}, {"maxs": (np.inf, 2)}, {"mins": (-np.inf, 0)},
+        {"counts": (2.5, 2)}, {"counts": (2.0, 2)},
+    ])
+    def test_non_finite_bounds_and_fractional_counts_rejected(self, kw):
+        with pytest.raises(InputError):
+            GridSpec(**{"mins": (-1, -1), "maxs": (1, 1), "counts": (2, 2), **kw})
+
+    def test_numpy_integer_counts_accepted(self):
+        grid = GridSpec(mins=(0, 0), maxs=(1, 1), counts=(np.int64(3), np.int64(2)))
+        assert grid.points().shape == (6, 2)
+
     def test_row_major_order(self):
         grid = GridSpec(mins=(0, 0), maxs=(1, 2), counts=(2, 3))
         pts = grid.points()
@@ -345,3 +359,72 @@ class TestLeadingEigenvalueProperty:
             lead = spec.eigenvalues[0]
             assert abs(lead.imag) <= 1e-10
             assert lead.real >= -1e-12
+
+
+# Hostile inputs on the Duffing seed-0 stream (lambda 1.2e-3, eta 0.2):
+# extreme bandwidths on a 600-pair prefix under the cubic budget, and that
+# prefix with each pair followed by a near-duplicate moved by s N(0, 1).
+BANDWIDTHS = (1e-4, 1e-2, 30.0, 1e3)
+SHIFTS = (1e-15, 1e-12, 1e-9, 1e-6)
+
+
+def hostile_fold(bandwidth, budget, xs, ys):
+    """Fold, snapshot and analyse.  Returns the dictionary size, the
+    snapshot, the tracked and exact HS norms and the eigen residuals."""
+    kernel = Kernel.gaussian(bandwidth)
+    cfg = LearnerConfig(lam=1.2e-3, step_schedule=ConstantStep(0.2),
+                        budget_schedule=budget, kernel_x=kernel, kernel_y=kernel)
+    state, _ = run_stream(cfg, zip(xs, ys))
+    rep = state.snapshot_rep()
+    spec = koopman_spectrum(rep)
+    return state.dict_size, rep, (state.hs_norm, hs_norm(rep)), spec.residuals
+
+
+@pytest.fixture(scope="module")
+def duffing_prefix():
+    xs, ys = generate_stream(DuffingTrajectories(n_traj=355, steps_per_traj=10, seed=0))
+    return xs[:600], ys[:600]
+
+
+@pytest.fixture(scope="module")
+def bandwidth_folds(duffing_prefix):
+    return {h: hostile_fold(h, CubicBudget(2.0), *duffing_prefix) for h in BANDWIDTHS}
+
+
+@pytest.fixture(scope="module")
+def near_duplicate_folds(duffing_prefix):
+    xs, ys = duffing_prefix
+    rng = np.random.default_rng(0)
+    out = {}
+    for s in SHIFTS:
+        nx, ny = (np.repeat(a, 2, axis=0) for a in (xs, ys))
+        nx[1::2] += s * rng.normal(size=xs.shape)
+        ny[1::2] += s * rng.normal(size=ys.shape)
+        for name, budget in (("eps", ConstantBudget(1e-3)), ("zero", ZeroBudget())):
+            out[s, name] = hostile_fold(0.3, budget, nx, ny)
+    return out
+
+
+class TestHostileInputs:
+    @pytest.mark.parametrize("bandwidth", BANDWIDTHS)
+    def test_extreme_bandwidth(self, bandwidth_folds, bandwidth):
+        _, _, (tracked, exact), residuals = bandwidth_folds[bandwidth]
+        assert tracked == pytest.approx(exact, rel=1e-9)
+        assert np.all(residuals <= RESIDUAL_RTOL)
+
+    @pytest.mark.parametrize("s", SHIFTS)
+    @pytest.mark.parametrize("budget", ["eps", "zero"])
+    def test_near_duplicates(self, near_duplicate_folds, s, budget):
+        d, _, (tracked, exact), residuals = near_duplicate_folds[s, budget]
+        assert tracked == pytest.approx(exact, rel=1e-9)
+        assert np.all(residuals <= RESIDUAL_RTOL)
+        if budget == "zero":
+            assert d == 1200
+        else:
+            # a near-duplicate is projected, not admitted
+            assert d <= near_duplicate_folds[1e-6, "eps"][0]
+
+    def test_tiny_bandwidth_spectrum_is_degenerate(self, bandwidth_folds, tmp_path):
+        save_rep(bandwidth_folds[1e-4][1], tmp_path / "model.json")
+        assert main(["koopman", "--model", str(tmp_path / "model.json")]) == 0
+        assert json.loads((tmp_path / "spectrum.json").read_text())["degenerate"] is True

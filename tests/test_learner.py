@@ -9,11 +9,11 @@ from cmestream import (CapacityError, ConfigError, ConstantBudget, ConstantStep,
                        CubicBudget, Dictionary, DuffingTrajectories, FiniteChainStream,
                        FiniteSpaceModel, GramCache, InputError, Kernel, LearnerConfig,
                        OperatorRep, PolynomialStep, QuadraticBudget,
-                       ZeroBudget, checkpoint_marks, compression_delta, eval_kernel,
+                       ZeroBudget, checkpoint_marks, eval_kernel,
                        generate_stream, gram_matrix, hs_distance, hs_norm,
-                       inverse_with_jitter, new_state, project_coefficients,
-                       run_stream, sgd_expand, step)
-from conftest import naive_uncompressed, projection_oracle
+                       inverse_with_jitter, new_state, run_stream, step)
+from conftest import (compression_delta, naive_uncompressed, project_coefficients,
+                      projection_oracle, sgd_expand)
 
 
 def make_cfg(kernel, lam=0.1, eta=0.2, budget=None, **kw):
@@ -348,8 +348,9 @@ def on_state_grid(rep, states):
 
 def textbook_compressed_run(kernel, lam, eta, eps, samples):
     """Independent slow implementation of the compressed learner: rebuild
-    every Gram from scratch and use the module-level expansion, test and
-    projection operations.  Returns the accept decisions and the operator."""
+    every Gram from scratch and use the Gram-form expansion, test and
+    projection references of ``conftest``.  Returns the accept decisions and
+    the operator."""
     xs_ref: list = []
     ys_ref: list = []
     W_ref = np.zeros((0, 0))
