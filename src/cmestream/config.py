@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import numbers
 import os
+import warnings
 from typing import Optional
 
 import numpy as np
@@ -319,12 +320,17 @@ def build_learner_config(data: dict) -> LearnerConfig:
 
 
 def read_stream_csv(path, dim_x: int, dim_y: int):
-    """The stream CSV's ``(xs, ys)``; a malformed or non-finite value, or a
-    wrong column count, raises ``InputError`` naming the file."""
+    """The stream CSV's ``(xs, ys)``; a file with no rows, a malformed or
+    non-finite value, or a wrong column count, raises ``InputError`` naming
+    the file."""
     try:
-        rows = np.loadtxt(path, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)    # "input contained no data"
+            rows = np.loadtxt(path, delimiter=",", ndmin=2)
     except ValueError as exc:
         raise InputError(f"stream CSV {path}: {exc}") from exc
+    if not rows.size:
+        raise InputError(f"stream CSV {path} holds no sample pairs")
     if rows.shape[1] != dim_x + dim_y:
         raise InputError(f"stream CSV {path} has {rows.shape[1]} columns, "
                          f"expected {dim_x + dim_y}")

@@ -8,6 +8,7 @@ seeded generators, so identical sources produce bitwise-identical streams.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -90,6 +91,11 @@ def duffing_trajectory(init, n_steps: int, p: DuffingParams) -> np.ndarray:
 # Stream sources
 # ---------------------------------------------------------------------------
 
+def _check_seed(seed):
+    if isinstance(seed, bool) or not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise InputError(f"seed must be an integer >= 0, got {seed!r}")
+
+
 @dataclass(frozen=True)
 class DuffingTrajectories:
     """``n_traj`` trajectories of ``steps_per_traj`` pairs each, from initial
@@ -104,6 +110,7 @@ class DuffingTrajectories:
     interleave: str = "sequential"
 
     def __post_init__(self):
+        _check_seed(self.seed)
         if self.n_traj < 1 or self.steps_per_traj < 1:
             raise InputError("need at least one trajectory and one step")
         box = np.asarray(self.init_box, dtype=float)
@@ -124,12 +131,28 @@ class FiniteChainStream:
     seed: int
     burn_in: int = 0
 
+    def __post_init__(self):
+        _check_seed(self.seed)
+        if self.n_samples < 1 or self.burn_in < 0:
+            raise InputError("need n_samples >= 1 and burn_in >= 0")
+        model = self.model
+        if model.transition is None:
+            raise InputError("finite chain stream needs a transition matrix")
+        if model.x_states.shape != model.y_states.shape or \
+                not np.array_equal(model.x_states, model.y_states):
+            raise InputError("chain sampling needs shared x/y state lists")
+
 
 @dataclass(frozen=True)
 class FiniteIIDStream:
     model: FiniteSpaceModel
     n_samples: int
     seed: int
+
+    def __post_init__(self):
+        _check_seed(self.seed)
+        if self.n_samples < 1:
+            raise InputError("need n_samples >= 1")
 
 
 Source = Union[DuffingTrajectories, FiniteChainStream, FiniteIIDStream]
@@ -163,13 +186,6 @@ def _chain_indices(P: np.ndarray, n: int, burn_in: int, rng) -> np.ndarray:
 
 def _finite_chain_pairs(src: FiniteChainStream):
     model = src.model
-    if model.transition is None:
-        raise InputError("finite chain stream needs a transition matrix")
-    if src.n_samples < 1 or src.burn_in < 0:
-        raise InputError("need n_samples >= 1 and burn_in >= 0")
-    if model.x_states.shape != model.y_states.shape or \
-            not np.array_equal(model.x_states, model.y_states):
-        raise InputError("chain sampling needs shared x/y state lists")
     rng = np.random.default_rng(src.seed)
     idx = _chain_indices(model.transition, src.n_samples, src.burn_in, rng)
     states = model.x_states
@@ -178,8 +194,6 @@ def _finite_chain_pairs(src: FiniteChainStream):
 
 def _finite_iid_pairs(src: FiniteIIDStream):
     model = src.model
-    if src.n_samples < 1:
-        raise InputError("need n_samples >= 1")
     rng = np.random.default_rng(src.seed)
     flat = model.joint.reshape(-1)
     draws = rng.choice(flat.size, size=src.n_samples, p=flat / flat.sum())

@@ -11,22 +11,26 @@ The gradient step has the structure ``U~ = a U + eta g (x) phi_X(x)`` with
 test only ever concerns the rank-one correction: its residual and optimal
 coefficients come from two solves against the cached inverse Gram factors.
 Every step takes this one path: the first sample is the general step on the
-empty dictionary (residual = full norm, always admitted), and an exact fold
-(the sample repeats a product atom) is the projected update with known
-factors.
+empty dictionary (residual = full norm, always admitted).  The update is
+one of two.  An exact fold (the sample repeats product atom ``(q, p)``) has
+the factors ``u_y = e_q - W k_x`` and ``u_x = e_p``, so it adds one column
+to W; an admission is the same column update onto the new atom ``(d, d)``,
+which joins with zero coefficients.  A projection has a dense ``u_x``.
 
 The coefficient matrix is held factored as ``W = c * (Wf + U V^T)``: a
 scalar factor ``c`` absorbs the per-step decay ``a``, and the rank-one
-updates of projected and folded steps collect as columns of a pending
-low-rank block ``U V^T`` (at most ``_BLOCK`` columns) that is added into
-``Wf`` with one matrix product when it fills or before ``Wf`` is read whole
-or restructured.  When ``c`` would fall below ``_MIN_FACTOR`` it is folded
-into ``Wf``, which also makes total decay (``a = 0``) exact.  Products with
-``W`` apply the block as two thin mat-vecs, and ``G_Y W k_x`` is one mat-vec
-against the Y Gram, so every step stays O(d^2) and none rewrites a d x d
-matrix element by element.  This is an implementation detail: the produced
-operators match the plain coefficient recursion to machine precision
-(covered by the equivalence tests).
+updates of projected steps collect as columns of a pending low-rank block
+``U V^T`` (at most ``_BLOCK`` columns) that is added into ``Wf`` with one
+matrix product when it fills or before ``Wf`` is read whole or
+restructured; an admission adds it first, since its rows have no entry for
+the new atom.  ``Wf`` is zero outside its leading d x d block.  When ``c``
+would fall below ``_MIN_FACTOR`` it is folded into ``Wf``, which also makes
+total decay (``a = 0``) exact.  Products with ``W`` apply the block as two
+thin mat-vecs, and ``G_Y W k_x`` is one mat-vec against the Y Gram, so every
+step stays O(d^2) and none rewrites a d x d matrix element by element.  This
+is an implementation detail: the produced operators match the plain
+coefficient recursion to machine precision (covered by the equivalence
+tests).
 """
 
 from __future__ import annotations
@@ -230,7 +234,7 @@ class LearnerState:
         new_cap = grown_capacity(cap, need)
         self._flush()
         d = self.dict_size
-        self._Wf = grown_buffer(self._Wf[:d, :d], (new_cap, new_cap))
+        self._Wf = grown_buffer(self._Wf[:d, :d], (new_cap, new_cap), np.zeros)
         self._Ut = np.empty((_BLOCK, new_cap))
         self._Vt = np.empty((_BLOCK, new_cap))
 
@@ -275,42 +279,9 @@ class LearnerState:
             c = 1.0
         self._c = c
 
-    def _update(self, a: float, eta: float, u_y: np.ndarray, u_x: np.ndarray,
-                norm_sq: float):
-        """``W <- a W + eta u_y u_x^T`` over the current dictionary, with
-        ``norm_sq`` the resulting ``|U|_HS^2``."""
-        self._decay(a)
-        self._push((eta / self._c) * u_y, u_x)
-        self._norm_sq = norm_sq
-
 
 def new_state(cfg: LearnerConfig) -> LearnerState:
     return LearnerState(cfg)
-
-
-def _admit(state: LearnerState, x, y, k_x, k_y, s_x, s_y, eta, a,
-           norm_tilde_sq, wk, parts_x):
-    """Extend the dictionary; ``wk`` is W k_x in factored units and
-    ``parts_x`` the test's ``gram_x.solve_parts(k_x)`` (None if untested)."""
-    cfg = state.cfg
-    d = state.dict_size
-    if cfg.max_dictionary is not None and d + 1 > cfg.max_dictionary:
-        raise CapacityError(
-            f"dictionary limit {cfg.max_dictionary} exceeded at step {state.t + 1}",
-            state=state,
-        )
-    c = state._c
-    state._decay(a)
-    c_new = state._c
-    state._flush()
-    state._grow(d + 1)
-    W = state._Wf
-    W[:d, d] = (-eta * c / c_new) * wk
-    W[d, :d] = 0.0
-    W[d, d] = eta / c_new
-    state._norm_sq = norm_tilde_sq
-    state.gram_x.append(x, k_x, s_x, parts_x)
-    state.gram_y.append(y, k_y, s_y)
 
 
 def step(state: LearnerState, cfg: LearnerConfig, sample) -> LearnerState:
@@ -340,8 +311,8 @@ def step(state: LearnerState, cfg: LearnerConfig, sample) -> LearnerState:
     rwk = float(c * (r @ wk))
     kwk = float(c * (k_y @ wk))
     gg = s_y - 2.0 * kwk + float(c * c * (wk @ pk))   # |g|^2
-    norm_tilde_sq = a * a * state._norm_sq + 2.0 * a * eta * rwk \
-        + eta * eta * gg * s_x
+    # |U~|_HS^2 of the expanded operator, which a column update keeps
+    norm_sq = a * a * state._norm_sq + 2.0 * a * eta * rwk + eta * eta * gg * s_x
 
     p_idx = state.gram_x.find(x)
     q_idx = None if p_idx is None else state.gram_y.find(y)
@@ -350,7 +321,7 @@ def step(state: LearnerState, cfg: LearnerConfig, sample) -> LearnerState:
 
     if d == 0:
         # empty span: the residual is the full norm and the sample is admitted
-        delta = norm_tilde_sq
+        delta = norm_sq
     elif contained:
         # the rank-one update lies exactly in the dictionary's product span
         delta = 0.0
@@ -372,22 +343,36 @@ def step(state: LearnerState, cfg: LearnerConfig, sample) -> LearnerState:
         reject = np.sqrt(delta) <= eps
 
     if not reject:
-        _admit(state, x, y, k_x, k_y, s_x, s_y, eta, a, norm_tilde_sq, wk, parts_x)
-    elif contained:
-        # exact fold into product atom (q_idx, p_idx): u_y = e_q - W k_x, u_x = e_p
-        u_y = -c * wk
-        u_y[q_idx] += 1.0
-        u_x = np.zeros(d)
-        u_x[p_idx] = 1.0
-        state._update(a, eta, u_y, u_x, norm_tilde_sq)
-    else:
+        if cfg.max_dictionary is not None and d + 1 > cfg.max_dictionary:
+            raise CapacityError(f"dictionary limit {cfg.max_dictionary} exceeded at step {t}",
+                                state=state)
+        p_idx = q_idx = d       # the sample joins as atom (d, d) with zero coefficients
+    elif not contained:
         # projected update: W <- a W + eta u_y u_x^T; (G + jitter I) u = rhs gives G u
         g = r - state.gram_y.jitter * u_y
         h = k_x - state.gram_x.jitter * u_x
-        wh = state._apply(h)
-        state._update(a, eta, u_y, u_x, a * a * state._norm_sq
-                      + 2.0 * a * eta * float(c * (g @ wh))
-                      + eta * eta * float((u_y @ g) * (u_x @ h)))
+        norm_sq = a * a * state._norm_sq \
+            + 2.0 * a * eta * float(c * (g @ state._apply(h))) \
+            + eta * eta * float((u_y @ g) * (u_x @ h))
+    state._decay(a)
+    c_new = state._c
+    if reject and not contained:
+        state._push((eta / c_new) * u_y, u_x)
+    else:
+        # column update: the expansion folds exactly onto product atom
+        # (q, p), as u_y = e_q - W k_x = e_q - c wk and u_x = e_p
+        if not reject:
+            state._flush()      # the block's rows have no entry for the new atom
+            state._grow(d + 1)
+        Wf = state._Wf
+        Wf[:d, p_idx] += (-eta * c / c_new) * wk
+        Wf[q_idx, p_idx] += eta / c_new
+    state._norm_sq = norm_sq
+    if not reject:
+        # the caches grow after the coefficient buffer: in the other order
+        # `cme learn` on the README config peaks about 0.6 MiB higher
+        state.gram_x.append(x, k_x, s_x, parts_x)
+        state.gram_y.append(y, k_y, s_y)
 
     state.t = t
     state.stats.append(StepRecord(

@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import jsonschema
 import numpy as np
@@ -472,6 +473,31 @@ class TestCliLearn:
         out = tmp_path / "out"
         assert run_cli("learn", "--config", tmp_path / "cfg.json", "--out", out) == 2
         assert "s.csv" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["", "\n\n"])
+    def test_empty_csv_stream_writes_nothing(self, tmp_path, capsys, text):
+        (tmp_path / "s.csv").write_text(text)
+        cfg = duffing_config()
+        cfg["stream"]["source"] = {"kind": "csv", "path": "s.csv",
+                                   "dim_x": 2, "dim_y": 2}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")      # numpy's "input contained no data" too
+            assert run_cli("learn", "--config", tmp_path / "cfg.json", "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "s.csv holds no sample pairs" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, seed", [("simulate", "-1"), ("learn", "-3")])
+    def test_negative_seed_writes_nothing(self, duffing_cfg_file, tmp_path, capsys,
+                                          command, seed):
+        out = tmp_path / "out"
+        assert run_cli(command, "--config", duffing_cfg_file, "--out", out,
+                       "--seed", seed) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: seed must be an integer >= 0, got {seed}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command, extra, key", [

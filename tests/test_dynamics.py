@@ -131,9 +131,16 @@ class TestGenerateStream:
         model = FiniteSpaceModel(x_states=chain_model.x_states,
                                  y_states=chain_model.y_states,
                                  joint=chain_model.joint)
-        with pytest.raises(InputError):
-            generate_stream(FiniteChainStream(
-                model=model, n_samples=5, burn_in=0, seed=1))
+        with pytest.raises(InputError, match="transition matrix"):
+            FiniteChainStream(model=model, n_samples=5, burn_in=0, seed=1)
+
+    def test_chain_needs_shared_states(self, chain_model):
+        model = FiniteSpaceModel(x_states=chain_model.x_states,
+                                 y_states=chain_model.y_states + 1.0,
+                                 joint=chain_model.joint,
+                                 transition=chain_model.transition)
+        with pytest.raises(InputError, match="shared x/y state lists"):
+            FiniteChainStream(model=model, n_samples=5, seed=0)
 
     def test_unknown_interleave_rejected(self):
         with pytest.raises(InputError, match="zigzag"):
@@ -157,6 +164,30 @@ class TestGenerateStream:
     def test_source_checked_when_made(self, keys):
         with pytest.raises(InputError):
             DuffingTrajectories(**{"n_traj": 2, "steps_per_traj": 2, "seed": 0, **keys})
+
+    @pytest.mark.parametrize("seed", [-1, -3, 1.5, 2.0, "3", None, True])
+    def test_seed_checked_when_made(self, chain_model, seed):
+        # numpy would raise its own ValueError only when the stream is drawn
+        makers = [lambda: DuffingTrajectories(n_traj=2, steps_per_traj=2, seed=seed),
+                  lambda: FiniteChainStream(model=chain_model, n_samples=5, seed=seed),
+                  lambda: FiniteIIDStream(model=chain_model, n_samples=5, seed=seed)]
+        for make in makers:
+            with pytest.raises(InputError, match=f"seed must be an integer >= 0, got {seed!r}"):
+                make()
+
+    def test_numpy_integer_seed_accepted(self, chain_model):
+        ref = generate_stream(FiniteIIDStream(model=chain_model, n_samples=5, seed=4))
+        got = generate_stream(FiniteIIDStream(model=chain_model, n_samples=5, seed=np.int64(4)))
+        assert all(np.array_equal(a, b) for a, b in zip(ref, got))
+
+    @pytest.mark.parametrize("make", [
+        lambda m: FiniteChainStream(model=m, n_samples=0, seed=0),
+        lambda m: FiniteChainStream(model=m, n_samples=5, seed=0, burn_in=-1),
+        lambda m: FiniteIIDStream(model=m, n_samples=0, seed=0)],
+        ids=["chain-n_samples", "chain-burn_in", "iid-n_samples"])
+    def test_finite_source_checked_when_made(self, chain_model, make):
+        with pytest.raises(InputError, match="need n_samples >= 1"):
+            make(chain_model)
 
 
 simplex3 = st.lists(st.floats(0.01, 1.0), min_size=3, max_size=3).map(

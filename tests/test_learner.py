@@ -258,6 +258,48 @@ class TestStep:
         rec = state.stats[-1]
         assert rec.delta == 0.0 and not rec.accepted and state.dict_size == 1
 
+    def test_exact_fold_is_one_column_update(self, gauss03, rng):
+        # a fold onto product atom (q, p) writes column p of W directly and
+        # queues nothing in the pending block; every other column decays
+        cfg = make_cfg(gauss03)
+        state = new_state(cfg)
+        pairs = [(rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)) for _ in range(6)]
+        for pair in pairs:
+            step(state, cfg, pair)
+        before = state.coefficients
+        p, q = 1, 3
+        x, y = pairs[p][0], pairs[q][1]
+        k_x = state.gram_x.kernel_vector(x)
+        step(state, cfg, (x, y))
+        rec = state.stats[-1]
+        assert rec.delta == 0.0 and not rec.accepted and state.dict_size == 6
+        assert state._m == 0
+        after = state.coefficients
+        a = 1.0 - 0.1 * 0.2
+        others = [j for j in range(6) if j != p]
+        np.testing.assert_allclose(after[:, others], a * before[:, others], rtol=1e-15, atol=0)
+        fold = a * before[:, p] - 0.2 * (before @ k_x)
+        fold[q] += 0.2
+        np.testing.assert_allclose(after[:, p], fold, rtol=1e-13, atol=1e-16)
+        assert state.hs_norm == pytest.approx(hs_norm(state.snapshot_rep()), rel=1e-12)
+
+    def test_coefficient_buffer_zero_outside_the_dictionary(self, gauss03, rng):
+        # admits write only the new atom's column, so the buffer's rows and
+        # columns past the dictionary stay 0 across capacity growths
+        cfg = make_cfg(gauss03)
+        state = new_state(cfg)
+        pairs, capacities = [], set()
+        for i in range(60):
+            pair = pairs[i // 2] if i % 5 == 4 else (rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2))
+            pairs.append(pair)
+            step(state, cfg, pair)
+            d = state.dict_size
+            outside = state._Wf.copy()
+            outside[:d, :d] = 0.0
+            assert not np.any(outside)
+            capacities.add(outside.shape[0])
+        assert state.dict_size == 48 and len(capacities) >= 5
+
     def test_budget_squared_literal_comparison(self, gauss03):
         # squared mode compares delta (not sqrt) to eps: with eps between
         # delta and sqrt(delta) the two modes disagree
