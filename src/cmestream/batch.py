@@ -44,7 +44,8 @@ def batch_solution(samples, lam: float, kernel_x: Kernel, kernel_y: Kernel) -> O
     _check_lambda(lam)
     xs, ys = _sample_arrays(samples)
     n = xs.shape[0]
-    # in place, so that at most two n x n arrays are held at once
+    # in place, so that G and W are the only n x n arrays beside the copy
+    # and the identity that np.linalg.inv makes for itself
     G = gram_matrix(kernel_x, xs)
     G.flat[:: n + 1] += n * lam
     W = np.linalg.inv(G)

@@ -28,6 +28,7 @@ from .errors import ConfigError, InputError
 from .kernels import Kernel
 from .learner import (ConstantBudget, ConstantStep, CubicBudget, LearnerConfig,
                       PolynomialStep, QuadraticBudget, ZeroBudget)
+from .operator import json_integer
 
 
 def _kinds(key: str, rules: dict) -> dict:
@@ -175,8 +176,7 @@ _TYPES = {
     "null": lambda v: v is None,
     # a bool is not a number, and an integral float is an integer
     "number": lambda v: isinstance(v, numbers.Number) and not isinstance(v, bool),
-    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool)
-                          or isinstance(v, float) and v.is_integer()),
+    "integer": json_integer,
 }
 
 

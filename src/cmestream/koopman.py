@@ -102,28 +102,37 @@ def _eigenvector(M: np.ndarray, lam: complex, position: int) -> np.ndarray:
     The start columns are DCT-IV basis vectors picked by ``position``:
     orthogonal to each other, so a repeated semisimple eigenvalue gets
     independent vectors, and free of zero entries.
+
+    M is not copied: its own diagonal is shifted for the real solve and for
+    the product forming Q, and written back from a saved copy before
+    anything else reads M, also when a solve raises.
     """
     d = M.shape[0]
     real = lam.imag == 0
+    diag = M.diagonal().copy()
     if real:
-        A, c = M.copy(), -lam.real
+        A, c = M, -lam.real
     else:
-        B = M.copy()
-        B.flat[::d + 1] -= lam.real
-        A, c = B @ B, lam.imag ** 2
-        del B                   # gone before the solve takes its copy of A
-    A.flat[::d + 1] += c
+        M.flat[::d + 1] = diag - lam.real
+        try:
+            A, c = M @ M, lam.imag ** 2
+        finally:
+            M.flat[::d + 1] = diag
+    shifted = A.diagonal() + c
     delta = np.finfo(float).eps * max(1.0, abs(c))
     freqs = position + 0.5 + np.arange(1 if real else 2)
     X = np.cos(np.pi / d * np.outer(np.arange(d) + 0.5, freqs))
     v = None
     for _ in range(2):
-        A.flat[::d + 1] -= delta
+        shifted -= delta
+        A.flat[::d + 1] = shifted
         try:
             X = np.linalg.qr(np.linalg.solve(A, X))[0]
         except np.linalg.LinAlgError:      # an exact zero pivot
             delta *= d
             continue
+        finally:
+            M.flat[::d + 1] = diag
         if real:
             v = X[:, 0].astype(complex)
         else:
@@ -147,8 +156,15 @@ def eigen_spectrum(M, k: int, dictionary: Optional[Dictionary] = None,
     The eigenvalues come from ``np.linalg.eigvals``; a vector is computed
     only for each of the k selected pairs (``_eigenvector``), and the
     conjugate partner of a computed complex pair takes the conjugate vector.
+
+    A writable C-contiguous float64 ``M`` is worked on in place: its
+    diagonal is shifted during the call and restored bitwise before it
+    returns or raises, so no other thread may read ``M`` meanwhile.  Any
+    other ``M`` (read-only, another dtype or layout) is copied once.
     """
     M = np.asarray(M, dtype=float)
+    if not (M.flags.writeable and M.flags.c_contiguous):
+        M = M.copy()
     d = M.shape[0]
     if M.shape != (d, d):
         raise InputError("matrix must be square")

@@ -250,11 +250,30 @@ def read_json(path, parse):
         raise type(exc)(f"{path}: {exc}") from exc
 
 
-def _atoms(entries, side: int, dim: int) -> np.ndarray:
-    """One side's points of a serialized dictionary."""
-    if not entries:
-        return np.zeros((0, dim))
-    return np.array([e[side] for e in entries], dtype=float)
+def json_integer(value) -> bool:
+    """Whether a parsed JSON value is an integer: a bool is not, and an
+    integral float such as ``2.0`` is."""
+    return (isinstance(value, int) and not isinstance(value, bool)
+            or isinstance(value, float) and value.is_integer())
+
+
+def _dimension(value, atoms: np.ndarray) -> int:
+    """A declared point dimension: an integer >= 0, the atoms' own when there
+    are any."""
+    if not json_integer(value) or value < 0:
+        raise ValueError(f"expected an integer >= 0, got {value!r}")
+    if len(atoms) and atoms.shape[1:] != (value,):
+        raise ValueError(f"declared {value!r}, but the atoms have shape {atoms.shape[1:]}")
+    return int(value)
+
+
+def _atoms(data: dict, side: int, key: str) -> np.ndarray:
+    """One side's points of a serialized dictionary, checked against their
+    declared dimension ``data[key]`` if there is one."""
+    atoms = json_field(data, "dict",
+                       lambda entries: np.array([e[side] for e in entries], dtype=float))
+    dim = json_field(data, key, lambda v: _dimension(v, atoms)) if key in data else 0
+    return atoms if len(atoms) else np.zeros((0, dim))
 
 
 def rep_from_dict(data: dict) -> OperatorRep:
@@ -262,9 +281,7 @@ def rep_from_dict(data: dict) -> OperatorRep:
     ``InputError`` naming it."""
     kx = json_field(data, "kernel_x", Kernel.from_dict)
     ky = json_field(data, "kernel_y", Kernel.from_dict)
-    dim_x, dim_y = (json_field(data, k, int) if k in data else 0 for k in ("dim_x", "dim_y"))
-    xs = json_field(data, "dict", lambda entries: _atoms(entries, 0, dim_x))
-    ys = json_field(data, "dict", lambda entries: _atoms(entries, 1, dim_y))
+    xs, ys = _atoms(data, 0, "dim_x"), _atoms(data, 1, "dim_y")
     d = len(xs)
     W = json_field(data, "W", lambda w: np.array(w, dtype=float).reshape(d, d))
     return OperatorRep(dict=Dictionary(xs, ys), W=W, kernel_x=kx, kernel_y=ky)

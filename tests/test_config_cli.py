@@ -678,6 +678,18 @@ class TestCliKoopman:
         save_rep(rep, tmp_path / "model.json")
         assert run_cli("koopman", "--model", tmp_path / "model.json") == 2
 
+    def test_malformed_declared_dimension_is_input_error(self, tmp_path, gauss03, rng, capsys):
+        from cmestream import Dictionary, OperatorRep, rep_to_dict
+        xs = rng.uniform(size=(2, 2))
+        data = rep_to_dict(OperatorRep(dict=Dictionary(xs, xs.copy()), W=np.zeros((2, 2)),
+                                       kernel_x=gauss03, kernel_y=gauss03))
+        data["dim_x"] = 2.5
+        (tmp_path / "model.json").write_text(json.dumps(data))
+        assert run_cli("koopman", "--model", tmp_path / "model.json",
+                       "--out", tmp_path / "koopman") == 2
+        assert "'dim_x'" in capsys.readouterr().err
+        assert not (tmp_path / "koopman").exists()
+
 
 class TestCliCompare:
     def test_batch_oracle(self, duffing_cfg_file, tmp_path):

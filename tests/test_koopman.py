@@ -177,7 +177,7 @@ class TestInverseIteration:
         j = int(np.argmin(np.abs(vals - spec.eigenvalues[0])))
         assert np.allclose(spec.eigenvectors[:, 0], vecs[:, j], atol=1e-12)
 
-    def test_traced_peak_below_four_matrices(self, gauss05, rng):
+    def test_traced_peak_below_three_matrices(self, gauss05, rng):
         d = 600
         rep = random_rep(rng, gauss05, d)
         koopman_spectrum(rep, 5)            # warm up
@@ -188,7 +188,65 @@ class TestInverseIteration:
         finally:
             tracemalloc.stop()
         assert np.any(spec.eigenvalues.imag != 0)      # the complex path ran
-        assert peak < 4 * d * d * 8
+        assert peak < 3 * d * d * 8
+
+    @staticmethod
+    def contract_input(name):
+        rng = np.random.default_rng(7)
+        M = rng.normal(size=(40, 40)) / np.sqrt(40)
+        if name == "read-only":
+            M.setflags(write=False)
+        elif name == "strided-view":
+            M = (rng.normal(size=(80, 80)) / np.sqrt(40))[::2, 1::2]
+            assert not M.flags.c_contiguous
+        return {"zeros": np.zeros((3, 3)), "identity": np.eye(4),
+                "singular-shift": np.full((2, 2), 4.0)}.get(name, M)
+
+    @pytest.mark.parametrize("name", ["writable", "read-only", "strided-view", "zeros",
+                                      "identity", "singular-shift"])
+    def test_input_unchanged_and_spectrum_as_on_a_copy(self, name):
+        # eigen_spectrum shifts a writable M's diagonal in place while it runs
+        M = self.contract_input(name)
+        k = min(6, M.shape[0])
+        before = M.tobytes()
+        want = eigen_spectrum(M.copy(), k)
+        got = eigen_spectrum(M, k)
+        assert M.tobytes() == before
+        for field in ("eigenvalues", "eigenvectors", "residuals"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+        if name == "writable":
+            assert np.any(got.eigenvalues.imag != 0)
+
+    def test_exact_zero_pivot_takes_the_retry(self, monkeypatch):
+        # 4 - eps rounds to 4, so the first pass for the eigenvalue 0 is singular
+        solve, errors = np.linalg.solve, []
+
+        def counting_solve(A, X):
+            try:
+                return solve(A, X)
+            except np.linalg.LinAlgError:
+                errors.append(1)
+                raise
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        spec = eigen_spectrum(np.full((2, 2), 4.0), 2)
+        assert errors == [1] and np.all(spec.residuals <= 1e-14)
+
+    # a real pair solves on M itself, a complex pair on its own Q
+    @pytest.mark.parametrize("M, solves_on_m", [
+        (np.array([[2.0, 1.0], [0.0, 1.0]]), True),
+        (np.array([[0.9, -0.6, 0.0], [0.15, 0.9, 0.0], [0.1, 0.2, 0.2]]), False)],
+        ids=["real-pair", "complex-pair"])
+    def test_input_restored_when_a_solve_raises(self, monkeypatch, M, solves_on_m):
+        before, seen = M.tobytes(), []
+
+        def failing_solve(A, X):
+            seen.append(np.shares_memory(A, M))
+            raise RuntimeError("solver failed")
+        monkeypatch.setattr(np.linalg, "solve", failing_solve)
+        with pytest.raises(RuntimeError, match="solver failed"):
+            eigen_spectrum(M, 1)
+        assert M.tobytes() == before
+        assert seen == [solves_on_m]
 
     def test_cli_koopman_never_imports_numpy_random(self, gauss05, rng, tmp_path):
         save_rep(random_rep(rng, gauss05, 30), tmp_path / "model.json")

@@ -303,6 +303,26 @@ class TestValidation:
                               kernel_y=gauss03)
             assert (rep.W is coef) == adopted and not rep.W.flags.writeable
 
+    @pytest.mark.parametrize("key", ["dim_x", "dim_y"])
+    @pytest.mark.parametrize("value, d", [(2.5, 0), (True, 0), ("2", 0), (-1, 0),
+                                          (2.5, 2), (True, 2), ("2", 2), (-1, 2), (3, 2)])
+    def test_declared_dimension_checked(self, gauss03, rng, key, value, d):
+        rep = OperatorRep(dict=Dictionary(rng.uniform(size=(d, 2)), rng.uniform(size=(d, 2))),
+                          W=np.zeros((d, d)), kernel_x=gauss03, kernel_y=gauss03)
+        data = rep_to_dict(rep)
+        data[key] = value
+        with pytest.raises(InputError, match=f"malformed key {key!r}"):
+            rep_from_dict(data)
+
+    @pytest.mark.parametrize("d", [0, 2])
+    def test_integral_float_dimension_accepted(self, gauss03, rng, d):
+        rep = OperatorRep(dict=Dictionary(rng.uniform(size=(d, 2)), rng.uniform(size=(d, 3))),
+                          W=np.zeros((d, d)), kernel_x=gauss03, kernel_y=gauss03)
+        data = rep_to_dict(rep)
+        data["dim_x"], data["dim_y"] = 2.0, 3.0
+        back = rep_from_dict(data)
+        assert (len(back), back.dict.dim_x, back.dict.dim_y) == (d, 2, 3)
+
     def test_rep_is_immutable(self, gauss03, rng):
         rep = random_rep(rng, gauss03, 2)
         with pytest.raises(ValueError):
