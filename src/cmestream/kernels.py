@@ -303,6 +303,7 @@ class GramCache:
         self._G: Optional[np.ndarray] = None
         # zero above the diagonal: solves are full mat-vecs over [:size, :size]
         self._R: Optional[np.ndarray] = None
+        self.factorizations = 0     # the first factor and each refactor
 
     @property
     def points(self) -> np.ndarray:
@@ -334,14 +335,41 @@ class GramCache:
             out[j, j] = self_kernel(self.kernel, p)
         return out
 
-    def _point(self, point) -> np.ndarray:
-        """``point`` as a finite 1 x dim array of the cached points' dim."""
-        p = _as_points(point, "point")
-        if p.shape[0] != 1:
-            raise InputError("expected a single point")
+    def _points(self, points, name: str) -> np.ndarray:
+        """``points`` as a finite n x dim array of the cached points' dim."""
+        p = _as_points(points, name)
         if self._pts is not None and p.shape[1] != self._pts.shape[0]:
             raise InputError("point dimension does not match cache")
         return p
+
+    def _point(self, point) -> np.ndarray:
+        """``point`` as a finite 1 x dim array of the cached points' dim."""
+        p = self._points(point, "point")
+        if p.shape[0] != 1:
+            raise InputError("expected a single point")
+        return p
+
+    def leading_valid(self, points) -> int:
+        """How many of the leading ``points`` pass ``kernel_vector``'s checks,
+        one after another; an empty cache takes the first point's dimension.
+        Points that stack into one valid n x dim array all pass."""
+        try:
+            self._points(np.array(points, dtype=float), "points")
+            return len(points)
+        except (InputError, ValueError):
+            pass
+        n, dim = 0, None
+        for point in points:
+            try:
+                p = self._point(point)
+            except InputError:
+                break
+            if dim is None:
+                dim = p.shape[1]
+            elif p.shape[1] != dim:
+                break
+            n += 1
+        return n
 
     def kernel_vector(self, point) -> np.ndarray:
         """Kernel values of ``point`` against every cached point."""
@@ -349,6 +377,19 @@ class GramCache:
         if self.size == 0:
             return np.zeros(0)
         return self._kvec(self.size, p)
+
+    def kernel_matrix(self, points) -> np.ndarray:
+        """Kernel values of each of the b x dim ``points`` against every cached
+        point: a size x b matrix whose column j is bitwise
+        ``kernel_vector(points[j])``.  A Gaussian block is one ``cross_gram``,
+        whose entries take ``_kvec``'s arithmetic one by one; any other
+        kernel takes ``_kvec`` point by point."""
+        pts = self._points(points, "points")
+        if self.size == 0:
+            return np.zeros((0, len(pts)))
+        if self.kernel.family != "gaussian":
+            return np.column_stack([self._kvec(self.size, p[None, :]) for p in pts])
+        return cross_gram(self.kernel, self._pts[:, : self.size].T, pts)
 
     def _kvec(self, n: int, p: np.ndarray) -> np.ndarray:
         """Kernel values of the 1 x dim point ``p`` against points 0..n-1."""
@@ -418,6 +459,7 @@ class GramCache:
     def _factor(self, n: int):
         """Factor the leading n x n Gram, built from the points, into the R buffer."""
         R, self.jitter = _inverse_factor(self._gram(n, np.empty((n, n))), self.jitter_scale)
+        self.factorizations += 1
         if self._R is None:
             cap = self._pts.shape[1]
             self._R = np.zeros((cap, cap))
@@ -431,11 +473,21 @@ class GramCache:
             self._factor(self.size)
         return self._R[: self.size, : self.size]
 
-    def solve_parts(self, v) -> tuple:
-        """``(l, u)`` with ``l = R v`` and ``u = R^T l = (G + jitter*I)^{-1} v``."""
+    def solve_parts(self, v, known: Optional[tuple] = None) -> tuple:
+        """``(l, u)`` with ``l = R v`` and ``u = R^T l = (G + jitter*I)^{-1} v``,
+        for a vector ``v`` or a matrix of columns.  ``known = (l0, u0)``, the
+        parts of ``v``'s first n entries against the factor of the first n
+        points, leaves only the rows of ``R`` appended since to read."""
         R = self._factor_view()
-        l = R @ v
-        return l, l @ R
+        if known is None:
+            l = R @ v
+            return l, R.T @ l
+        l0, u0 = known
+        n = l0.shape[0]
+        l1 = R[n:] @ v
+        u = R[n:].T @ l1
+        u[:n] += u0
+        return np.concatenate((l0, l1)), u
 
     def solve(self, v) -> np.ndarray:
         """``(G + jitter*I)^{-1} v`` as ``R^T (R v)``."""

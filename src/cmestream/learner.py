@@ -21,16 +21,38 @@ The coefficient matrix is held factored as ``W = c * (Wf + U V^T)``: a
 scalar factor ``c`` absorbs the per-step decay ``a``, and the rank-one
 updates of projected steps collect as columns of a pending low-rank block
 ``U V^T`` (at most ``_BLOCK`` columns) that is added into ``Wf`` with one
-matrix product when it fills or before ``Wf`` is read whole or
-restructured; an admission adds it first, since its rows have no entry for
-the new atom.  ``Wf`` is zero outside its leading d x d block.  When ``c``
-would fall below ``_MIN_FACTOR`` it is folded into ``Wf``, which also makes
-total decay (``a = 0``) exact.  Products with ``W`` apply the block as two
-thin mat-vecs, and ``G_Y W k_x`` is one mat-vec against the Y Gram, so every
-step stays O(d^2) and none rewrites a d x d matrix element by element.  This
-is an implementation detail: the produced operators match the plain
-coefficient recursion to machine precision (covered by the equivalence
-tests).
+matrix product when it fills or before ``Wf`` is restructured; an
+admission adds it first, since its rows have no entry for the new atom.  A
+snapshot reads ``c (U V^T + Wf)`` into a new array and changes nothing.
+``Wf`` is zero outside its leading d x d block.  When ``c`` would fall
+below ``_MIN_FACTOR`` it is folded into ``Wf``, which also makes total
+decay (``a = 0``) exact.  Products with ``W`` apply the block as two thin
+mat-vecs, so every step stays O(d^2) and none rewrites a d x d matrix
+element by element.
+
+``run_stream`` hands the state ``_BLOCK`` samples at a time.  The first
+step of a block computes, as matrix products, what its steps read from the
+dictionary alone: the kernel matrices, ``W K_x``, ``G_Y W K_x``, the X
+solves' ``R_x K_x`` and ``R_x^T R_x K_x``, and ``W R_x^T R_x K_x`` for the
+projection's ``W h`` (``_Block``); each later step reads its column and
+corrects it in O(d b) for what the block's earlier steps changed.  So
+each d x d buffer is read once per block for these products, not once
+per sample.  A step called outside ``run_stream`` is a
+block of one, whose products are the mat-vecs.
+
+This is an implementation detail.  A hand loop of ``step`` matches the
+plain coefficient recursion to machine precision (covered by the
+equivalence tests).  A blocked fold agrees with it to rounding, not
+bitwise: matrix products round as they do, and a block's later steps take
+``G_Y u_y`` of an earlier projection as ``g = r - jitter u_y``, exact only
+up to the Y factor's inverse residual, so their ``G_Y W k_x``, their
+coefficients and their budget tests carry that residual.  On Duffing
+streams of 3550 pairs (seeds 0-3; cubic, quadratic and constant 1e-3
+budgets) no decision differed, and the largest differences were 1.1e-5 in
+W (max abs difference over max abs entry) and 1.3e-8 in HS distance, both
+under the constant budget at d ~ 500; under the cubic budget they were
+1.3e-10 and 6.3e-12.  An admission solves the X factor's new row afresh,
+so the factor is bitwise the one fresh appends grow over the same atoms.
 """
 
 from __future__ import annotations
@@ -42,8 +64,8 @@ from typing import NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from .errors import CapacityError, ConfigError, InputError
-from .kernels import (DEFAULT_JITTER_SCALE, GramCache, Kernel, clamp_roundoff, grown_buffer,
-                      grown_capacity, self_kernel)
+from .kernels import (DEFAULT_JITTER_SCALE, GramCache, Kernel, clamp_roundoff, cross_gram,
+                      grown_buffer, grown_capacity, self_kernel)
 from .operator import Dictionary, OperatorRep, zero_rep
 
 _MIN_FACTOR = 1e-100       # fold the scalar factor into Wf below this
@@ -196,6 +218,9 @@ class LearnerState:
         self._Vt = np.empty((_BLOCK, 0))    # V^T, _BLOCK x capacity
         self._m = 0                 # pending columns of U and V
         self._norm_sq = 0.0         # |U_t|_HS^2, tracked incrementally
+        self._queue = ()            # samples run_stream has handed ahead
+        self._next = 0              # index in _queue of the next step's sample
+        self._blk: Optional[_Block] = None
 
     # -- sizes and views -----------------------------------------------------
 
@@ -205,10 +230,15 @@ class LearnerState:
 
     @property
     def coefficients(self) -> np.ndarray:
-        """Current coefficient matrix W (materialized copy)."""
-        d = self.dict_size
-        self._flush()
-        return self._c * self._Wf[:d, :d]
+        """Current coefficient matrix W, as a new array ``c (U V^T + Wf)``;
+        the state is left as it was, so taking it changes no later step."""
+        d, m = self.dict_size, self._m
+        if not m:
+            return self._c * self._Wf[:d, :d]
+        W = self._Ut[:m, :d].T @ self._Vt[:m, :d]
+        W += self._Wf[:d, :d]
+        W *= self._c
+        return W
 
     def snapshot_rep(self) -> OperatorRep:
         d = self.dict_size
@@ -264,20 +294,182 @@ class LearnerState:
             out += self._Ut[:m, :d].T @ (self._Vt[:m, :d] @ v)
         return out
 
-    def _decay(self, a: float):
+    def _decay(self, a: float) -> float:
         """``W <- a W`` by scaling ``c``.  Below ``_MIN_FACTOR`` (so also at
         ``a = 0``), and on an empty dictionary where there is nothing to
         scale, the factor is folded into ``Wf`` and ``c`` restarts at 1.
-        A factor of exactly 0 drops the pending block unadded."""
+        A factor of exactly 0 drops the pending block unadded.  Returns the
+        factor that ``Wf + U V^T`` took: 1.0 unless it was folded."""
         c = a * self._c
+        fold = 1.0
         if c < _MIN_FACTOR or not self.dict_size:
             if c == 0.0:
                 self._m = 0     # W becomes 0: adding U V^T first is wasted
             self._flush()
             d = self.dict_size
             self._Wf[:d, :d] *= c
-            c = 1.0
+            c, fold = 1.0, c
         self._c = c
+        return fold
+
+    def _block_for(self, sample):
+        """The block that holds ``sample`` and its column in it, or
+        ``(None, 0)`` for a block of one.  A queued sample reads the current
+        block, or starts one over the queued samples from it on that pass
+        the point checks; any other sample, or one that fails them (and so
+        raises from its own step), is a block of one."""
+        queue, i = self._queue, self._next
+        if not (i < len(queue) and queue[i] is sample):
+            self._queue, self._next, self._blk = (), 0, None
+            return None, 0
+        self._next = i + 1
+        blk = self._blk
+        if blk is not None and i < blk.stop:
+            return blk, i - blk.start
+        xs, ys = [], []
+        for s in queue[i:]:
+            try:
+                nx = np.asarray(s[0], dtype=float).reshape(-1)
+                ny = np.asarray(s[1], dtype=float).reshape(-1)
+            except Exception:       # the sample raises from its own step
+                break
+            xs.append(nx)
+            ys.append(ny)
+        n = min(self.gram_x.leading_valid(xs), self.gram_y.leading_valid(ys))
+        if n < 2:
+            return None, 0
+        self._blk = blk = _Block(self, np.array(xs[:n]), np.array(ys[:n]), i)
+        return blk, 0
+
+
+class _Block:
+    """The products that the steps of one block of samples share.
+
+    They are taken at the block's first step, against its d0 atoms and
+    ``A0 = Wf + U V^T`` (factored units), for the block's b samples:
+
+    - ``Kx``, ``Ky``: the kernel matrices of the block's points against the
+      atoms (``GramCache.kernel_matrix``) and then against each other, so
+      (d0 + b) x b;
+    - ``WK = A0 Kx[:d0]`` and ``GWK = G_Y WK``;
+    - ``L = R_x Kx[:d0]``, ``R_x^T L`` and ``WU = A0 R_x^T L``, when the X
+      factor exists and a step of the block tests a budget.
+
+    Step j reads column j and adds what changed since, in O(d b):
+    - an atom appended at block step i is row d0 + i of ``Kx`` and ``Ky``
+      (``rows``), and its ``G_Y`` row against ``WK`` is ``Ky^T WK`` (``KyWK``);
+      its ``R_x`` row joins ``L`` through ``GramCache.solve_parts``, and
+      ``W h`` goes back to a mat-vec for the rest of the block;
+    - a ``_MIN_FACTOR`` fold scales ``A0`` (``scale``) and every term below;
+    - each update of ``A`` since is a term ``u v^T``: a row of ``U`` and of
+      ``V``, with ``G_Y u`` in ``GU``.  A column update (admit or exact
+      fold) has ``v = e_p``; a projection queues ``u_y v^T`` with
+      ``G_Y u_y = g``, the vector its step already holds.
+
+    A refactor of the X factor leaves the rest of the block to solve for
+    itself.  A block has at least two samples: ``step`` takes a block of
+    one as the mat-vecs it is.
+    """
+
+    __slots__ = ("start", "stop", "d0", "scale", "m", "Kx", "Ky", "WK", "GWK", "KyWK", "L",
+                 "WU", "factorizations", "U", "V", "GU", "rows")
+
+    def __init__(self, state, px: np.ndarray, py: np.ndarray, start: int):
+        b, d0 = len(px), state.dict_size
+        self.start, self.stop, self.d0 = start, start + b, d0
+        self.scale, self.m, self.L = 1.0, 0, None
+        gx, gy, cfg = state.gram_x, state.gram_y, state.cfg
+        Kx, Ky = gx.kernel_matrix(px), gy.kernel_matrix(py)
+        self.WK = state._apply(Kx)
+        self.GWK = gy.G @ self.WK
+        if gx.has_inverse and any(cfg.eps_at(t) != 0.0
+                                  for t in range(state.t + 1, state.t + b + 1)):
+            self.L = gx.solve_parts(Kx)
+            self.WU = state._apply(self.L[1])
+            self.factorizations = gx.factorizations
+        self.KyWK = Ky.T @ self.WK
+        self.Kx = np.vstack((Kx, cross_gram(cfg.kernel_x, px, px)))
+        self.Ky = np.vstack((Ky, cross_gram(cfg.kernel_y, py, py)))
+        self.U, self.V, self.GU = (np.zeros((b, d0 + b)) for _ in range(3))
+        self.rows = np.arange(d0 + b)
+
+    def column(self, state, j: int) -> tuple:
+        """``(k_x, k_y, W k_x, G_Y W k_x)`` of sample j against the state now
+        (``W`` in factored units), as arrays the caller must not write."""
+        d, d0, m = state.dict_size, self.d0, self.m
+        if d == d0:
+            k_x, k_y = self.Kx[:d0, j], self.Ky[:d0, j]
+            wk, pk = self.WK[:, j], self.GWK[:, j]
+        else:
+            rows = self.rows[:d]
+            k_x, k_y = self.Kx[rows, j], self.Ky[rows, j]
+            wk = np.concatenate((self.WK[:, j], np.zeros(d - d0)))
+            pk = np.concatenate((self.GWK[:, j], self.KyWK[rows[d0:] - d0, j]))
+        if self.scale != 1.0:
+            wk, pk = self.scale * wk, self.scale * pk
+        if m:
+            z = self.V[:m, :d] @ k_x
+            wk = wk + self.U[:m, :d].T @ z
+            pk = pk + self.GU[:m, :d].T @ z
+        return k_x, k_y, wk, pk
+
+    def solve_x(self, state, j: int, k_x: np.ndarray) -> tuple:
+        """``state.gram_x.solve_parts(k_x)`` for sample j; ``L`` holds while
+        the X factor has not been refactored since the block began."""
+        gx = state.gram_x
+        if self.L is None or gx.factorizations != self.factorizations:
+            return gx.solve_parts(k_x)
+        L, LU = self.L
+        if state.dict_size == self.d0:
+            return L[:, j], LU[:, j]
+        return gx.solve_parts(k_x, (L[:, j], LU[:, j]))
+
+    def apply_h(self, state, j: int, wk, h, u_x) -> np.ndarray:
+        """``W h`` (factored units) for a projection's ``h = k_x - jitter u_x``:
+        ``W k_x - jitter W u_x``, with ``W u_x`` from ``A0 R_x^T L`` while the
+        atoms and the X factor are the block's own."""
+        d0, m, gx = self.d0, self.m, state.gram_x
+        if (self.L is None or gx.factorizations != self.factorizations
+                or state.dict_size != d0):
+            return state._apply(h)
+        wu = self.scale * self.WU[:, j]
+        if m:
+            wu = wu + self.U[:m, :d0].T @ (self.V[:m, :d0] @ u_x)
+        return wk - gx.jitter * wu
+
+    def rescale(self, f: float):
+        """``A <- f A``: a ``_MIN_FACTOR`` fold."""
+        if f != 1.0:
+            m = self.m
+            self.scale *= f
+            self.U[:m] *= f
+            self.GU[:m] *= f
+
+    def add_atom(self, j: int, d: int, k_y: np.ndarray):
+        """Sample j joins as atom d, with ``G_Y`` row ``k_y``."""
+        m = self.m
+        self.rows[d] = self.d0 + j
+        self.GU[:m, d] = self.U[:m, :d] @ k_y
+
+    def add_update(self, u: np.ndarray, gu: np.ndarray, v: np.ndarray):
+        """``A += u v^T``, where ``G_Y u = gu``."""
+        m, n = self.m, u.shape[0]
+        self.U[m, :n], self.GU[m, :n], self.V[m, :n] = u, gu, v
+        self.m = m + 1
+
+    def add_column(self, alpha: float, beta: float, wk, pk, q: int, p: int, g_q):
+        """``A[:, p] += alpha wk + beta e_q``, where ``G_Y wk = pk`` over the
+        atoms before this step and ``g_q`` is row q of ``G_Y`` now."""
+        m, n = self.m, wk.shape[0]
+        u, gu = self.U[m], self.GU[m]
+        u[:n] = alpha * wk
+        u[q] += beta
+        gu[:n] = alpha * pk
+        if q == n:                  # an admit: G_Y's new row meets wk
+            gu[n] = alpha * (g_q[:n] @ wk)
+        gu[: g_q.shape[0]] += beta * g_q
+        self.V[m, p] = 1.0
+        self.m = m + 1
 
 
 def new_state(cfg: LearnerConfig) -> LearnerState:
@@ -287,7 +479,9 @@ def new_state(cfg: LearnerConfig) -> LearnerState:
 def step(state: LearnerState, cfg: LearnerConfig, sample) -> LearnerState:
     """One full iteration: expand, test the compression budget, project or
     admit.  Mutates ``state`` in place and returns it.  ``cfg`` is the
-    state's own config (``new_state``'s); another raises ``ConfigError``."""
+    state's own config (``new_state``'s); another raises ``ConfigError``.
+    A sample that ``run_stream`` handed ahead reads its block's products;
+    any other is a block of one, whose products are the mat-vecs."""
     x = np.asarray(sample[0], dtype=float).reshape(-1)
     y = np.asarray(sample[1], dtype=float).reshape(-1)
     t = state.t + 1
@@ -298,15 +492,20 @@ def step(state: LearnerState, cfg: LearnerConfig, sample) -> LearnerState:
 
     c = state._c
     # the caches check both points here, before anything mutates the state
-    k_x = state.gram_x.kernel_vector(x)
-    k_y = state.gram_y.kernel_vector(y)
+    blk, j = state._block_for(sample) if state._queue else (None, 0)
+    if blk is None:
+        k_x = state.gram_x.kernel_vector(x)
+        k_y = state.gram_y.kernel_vector(y)
     if cfg is not state.cfg and cfg != state.cfg:
         raise ConfigError("the config cannot change mid-run")
+    if blk is None:
+        wk = state._apply(k_x)  # factored units
+        pk = state.gram_y.G @ wk
+    else:
+        k_x, k_y, wk, pk = blk.column(state, j)
     s_x = self_kernel(cfg.kernel_x, x)
     s_y = self_kernel(cfg.kernel_y, y)
 
-    wk = state._apply(k_x)  # factored units
-    pk = state.gram_y.G @ wk
     r = k_y - c * pk        # absolute: g-coefficients on the old y-atoms
     rwk = float(c * (r @ wk))
     kwk = float(c * (k_y @ wk))
@@ -329,7 +528,7 @@ def step(state: LearnerState, cfg: LearnerConfig, sample) -> LearnerState:
         delta = np.nan                      # zero budget admits; skip the test
     else:
         u_y = state.gram_y.solve(r)
-        parts_x = state.gram_x.solve_parts(k_x)
+        parts_x = state.gram_x.solve_parts(k_x) if blk is None else blk.solve_x(state, j, k_x)
         u_x = parts_x[1]
         fit = float((u_y @ r) * (k_x @ u_x))
         delta = eta * eta * clamp_roundoff(s_x * gg - fit, s_x * gg + fit, _DELTA_CLAMP_RTOL,
@@ -351,28 +550,41 @@ def step(state: LearnerState, cfg: LearnerConfig, sample) -> LearnerState:
         # projected update: W <- a W + eta u_y u_x^T; (G + jitter I) u = rhs gives G u
         g = r - state.gram_y.jitter * u_y
         h = k_x - state.gram_x.jitter * u_x
-        norm_sq = a * a * state._norm_sq \
-            + 2.0 * a * eta * float(c * (g @ state._apply(h))) \
+        wh = state._apply(h) if blk is None else blk.apply_h(state, j, wk, h, u_x)
+        norm_sq = a * a * state._norm_sq + 2.0 * a * eta * float(c * (g @ wh)) \
             + eta * eta * float((u_y @ g) * (u_x @ h))
-    state._decay(a)
+    fold = state._decay(a)
     c_new = state._c
     if reject and not contained:
-        state._push((eta / c_new) * u_y, u_x)
+        u = (eta / c_new) * u_y
+        state._push(u, u_x)
     else:
         # column update: the expansion folds exactly onto product atom
         # (q, p), as u_y = e_q - W k_x = e_q - c wk and u_x = e_p
         if not reject:
             state._flush()      # the block's rows have no entry for the new atom
             state._grow(d + 1)
+        alpha, beta = -eta * c / c_new, eta / c_new
         Wf = state._Wf
-        Wf[:d, p_idx] += (-eta * c / c_new) * wk
-        Wf[q_idx, p_idx] += eta / c_new
+        Wf[:d, p_idx] += alpha * wk
+        Wf[q_idx, p_idx] += beta
     state._norm_sq = norm_sq
     if not reject:
         # the caches grow after the coefficient buffer: in the other order
         # `cme learn` on the README config peaks about 0.6 MiB higher
-        state.gram_x.append(x, k_x, s_x, parts_x)
+        # a block's parts round as its GEMM does, so the factor's new row
+        # takes a fresh solve: bitwise the row a fresh append computes
+        state.gram_x.append(x, k_x, s_x, parts_x if blk is None else None)
         state.gram_y.append(y, k_y, s_y)
+    if blk is not None and j + 1 < blk.stop - blk.start:
+        # the block's later steps read this step's changes
+        blk.rescale(fold)
+        if not reject:
+            blk.add_atom(j, d, k_y)
+        if reject and not contained:
+            blk.add_update(u, (eta / c_new) * g, u_x)
+        else:
+            blk.add_column(alpha, beta, wk, pk, q_idx, p_idx, state.gram_y.G[q_idx])
 
     state.t = t
     state.stats.append(StepRecord(
@@ -407,16 +619,43 @@ def run_stream(cfg: LearnerConfig, samples, checkpoints: Optional[Sequence[int]]
     called after every step.  The marks follow ``checkpoint_marks``: a bad
     one raises ``InputError`` before the first step, and one past the end
     of the stream (which may have no length) once the stream has ended.
+
+    The stream is read ``_BLOCK`` samples ahead of the steps and handed to
+    the state, so the first step of each block computes the products the
+    block's steps share (see ``_Block``): each d x d buffer is read once
+    per block, not once per sample.  ``step`` is still called once per
+    sample, and a sample that fails its checks, or an error the stream
+    raises, still comes after the steps of the samples before it.  The
+    result agrees with a hand loop of ``step`` to rounding, not bitwise;
+    checkpoints and observers change nothing of it.
     """
     marks = checkpoint_marks(checkpoints)
     state = new_state(cfg)
     reps = []
-    for sample in samples:
-        step(state, cfg, sample)    # the module global: a timing wrapper may replace it
-        if on_step is not None:
-            on_step(state)
-        if state.t in marks:
-            reps.append((state.t, state.snapshot_rep()))
+    it = iter(samples)
+    try:
+        while True:
+            chunk, failure = [], None
+            try:
+                for sample in it:
+                    chunk.append(sample)
+                    if len(chunk) == _BLOCK:
+                        break
+            except Exception as exc:
+                failure = exc
+            state._queue, state._next, state._blk = chunk, 0, None
+            for sample in chunk:
+                step(state, cfg, sample)    # the module global: a timing wrapper may replace it
+                if on_step is not None:
+                    on_step(state)
+                if state.t in marks:
+                    reps.append((state.t, state.snapshot_rep()))
+            if failure is not None:
+                raise failure
+            if len(chunk) < _BLOCK:
+                break
+    finally:
+        state._queue, state._next, state._blk = (), 0, None
     if not state.t:
         raise InputError("sample stream is empty")
     checkpoint_marks(marks, state.t)

@@ -236,6 +236,19 @@ class TestGramCache:
         direct, _ = inverse_with_jitter(cache.G + cache.jitter * np.eye(30), 0.0)
         assert np.allclose(inv30, direct, rtol=1e-8, atol=1e-8)
 
+    def test_leading_valid_stops_where_kernel_vector_raises(self, gauss05):
+        # an empty cache takes the first point's dimension
+        cache = GramCache(gauss05)
+        good = [np.zeros(2), np.ones(2)]
+        assert cache.leading_valid([]) == 0
+        assert cache.leading_valid(good + [np.ones(3), np.ones(2)]) == 2
+        cache.append(np.zeros(2))
+        for bad in (np.array([0.0, np.nan]), np.ones(3), np.ones((2, 2)), np.zeros(0)):
+            with pytest.raises(InputError):
+                cache.kernel_vector(bad)
+            assert cache.leading_valid(good + [bad] + good) == 2
+            assert cache.leading_valid([bad] + good) == 0
+
     def test_duplicate_appends_survive(self, gauss05):
         cache = GramCache(gauss05, jitter_scale=1e-10)
         cache.append([0.0, 0.0])
@@ -447,6 +460,25 @@ class TestBufferLayout:
             for cache in _two_caches(kernel, pts[:n]):
                 got = np.array([cache.kernel_vector(q) for q in queries])
                 assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("kernel, dim", [
+        (Kernel.gaussian(0.7), 1), (Kernel.gaussian(0.7), 2), (Kernel.gaussian(0.7), 3),
+        (Kernel.gaussian(0.7), 9), (Kernel.linear(4.0), 2),
+        (Kernel.custom(lambda a, b: (1.0 + a @ b.T) ** 2, 16.0), 2),
+    ], ids=["gauss-1", "gauss-2", "gauss-3", "gauss-9", "linear", "custom"])
+    def test_kernel_matrix_columns_are_kernel_vectors(self, rng, kernel, dim):
+        # a block's kernel matrix, column for column what each point's
+        # kernel_vector gives; 16, 20 and 25 points fill a capacity exactly
+        pts = _gram_points(rng, dim)
+        queries = np.vstack([rng.uniform(-1, 1, (30, dim)), pts[3], -np.zeros(dim)])
+        for n in (0, 1, 16, 17, 20, 25, 26):
+            cache = GramCache(kernel)
+            for p in pts[:n]:
+                cache.append(p)
+            got = cache.kernel_matrix(queries)
+            want = np.array([cache.kernel_vector(q) for q in queries]).reshape(32, n).T
+            assert got.shape == (n, 32)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     @pytest.mark.parametrize("dim", [3, 9])
     def test_squares_added_in_coordinate_order(self, rng, dim):

@@ -455,7 +455,7 @@ class TestEquivalenceWithDirectImplementation:
     @pytest.mark.parametrize("lam, eta, eps, snapshot_every", [
         (0.1, 0.2, 0.05, None),   # projected runs far longer than one block
         (1.0, 0.9, 0.3, None),    # decay 0.1: the scalar factor renormalizes
-        (1.0, 0.9, 0.3, 37),      # ... and snapshots flush at odd points
+        (1.0, 0.9, 0.3, 37),      # ... and snapshots at odd points
         (1.0, 1.0, 0.3, None),    # total decay: the factor folds into W each step
     ])
     def test_compressed_run_matches_textbook_loop_across_flushes(
@@ -653,6 +653,195 @@ class TestRunStream:
         assert len(reps[0][1]) == 3        # unaffected by later growth
 
 
+def same_state(a, b) -> bool:
+    """Bitwise equal folds: records (NaN deltas included), coefficients,
+    atoms, tracked norm and jitters."""
+    return (repr(a.stats) == repr(b.stats) and a.t == b.t
+            and np.array_equal(a.coefficients, b.coefficients)
+            and np.array_equal(a.gram_x.points, b.gram_x.points)
+            and np.array_equal(a.gram_y.points, b.gram_y.points)
+            and a.hs_norm == b.hs_norm
+            and (a.gram_x.jitter, a.gram_y.jitter) == (b.gram_x.jitter, b.gram_y.jitter))
+
+
+def hand_loop(cfg, samples):
+    """``step`` sample by sample: each one a block of one."""
+    state = new_state(cfg)
+    for sample in samples:
+        step(state, cfg, sample)
+    return state
+
+
+def pairs_with_repeats(rng, n, dim=2):
+    # every fourth sample repeats an earlier pair: an exact fold
+    out = []
+    for i in range(n):
+        out.append(out[int(rng.integers(len(out)))] if i % 4 == 3
+                   else (rng.uniform(-1, 1, dim), rng.uniform(-1, 1, dim)))
+    return out
+
+
+def near_duplicate_pairs(rng, n):
+    # the Duffing pairs, each repeated 1e-15 away, as in TestHostileInputs
+    xs, ys = generate_stream(DuffingTrajectories(n_traj=n // 20, steps_per_traj=10, seed=0))
+    nx, ny = (np.repeat(a, 2, axis=0) for a in (xs, ys))
+    nx[1::2] += 1e-15 * rng.normal(size=xs.shape)
+    ny[1::2] += 1e-15 * rng.normal(size=ys.shape)
+    return list(zip(nx, ny))
+
+
+def repeated_x_pairs(rng, n):
+    # every fifth x repeats an earlier one under a new y: at zero jitter its
+    # admission has pivot^2 0, so the X factor refactors mid-block
+    xs, ys = rng.uniform(-1, 1, (n, 2)), rng.uniform(-1, 1, (n, 2))
+    xs[4::5] = xs[rng.integers(0, 4, n // 5)]
+    return list(zip(xs, ys))
+
+
+def uniform_stream(rng, n):
+    return [(rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)) for _ in range(n)]
+
+
+BLOCK_STREAMS = {
+    # name: (stream, n, config keywords, HS tolerance)
+    "admits": (uniform_stream, 100, {}, 1e-10),
+    "exact-folds": (pairs_with_repeats, 200, {"budget": ConstantBudget(0.05)}, 1e-7),
+    "growth-16-20-25": (uniform_stream, 40, {}, 1e-10),
+    "lambda-eta-1": (uniform_stream, 200, {"lam": 1.0, "eta": 1.0,
+                                           "budget": ConstantBudget(0.3)}, 1e-7),
+    "polynomial": (uniform_stream, 200, {"step": PolynomialStep(0.2, 20, 0.8),
+                                         "budget": CubicBudget(2.0)}, 1e-7),
+    "near-duplicates": (near_duplicate_pairs, 600, {"kernel": Kernel.gaussian(0.3),
+                                                    "lam": 1.2e-3,
+                                                    "budget": ConstantBudget(1e-3)}, 1e-7),
+    "refactor": (repeated_x_pairs, 100, {"budget": ConstantBudget(1e-3),
+                                         "jitter_scale": 0.0}, 1e-7),
+}
+
+
+def block_cfg(gauss05, kernel=None, lam=0.1, eta=0.2, step=None, **kw):
+    if step is None:
+        return make_cfg(kernel or gauss05, lam=lam, eta=eta, **kw)
+    return LearnerConfig(lam=lam, step_schedule=step, kernel_x=kernel or gauss05,
+                         kernel_y=kernel or gauss05, budget_schedule=kw.pop("budget"), **kw)
+
+
+class TestBlockedFold:
+    """``run_stream`` hands the state blocks of ``_BLOCK`` samples whose
+    first step computes the products they share; a hand loop of ``step``
+    folds sample by sample.  The two agree to rounding."""
+
+    @pytest.mark.parametrize("name", list(BLOCK_STREAMS))
+    def test_blocks_match_a_hand_loop(self, gauss05, rng, name):
+        stream, n, kw, tol = BLOCK_STREAMS[name]
+        cfg = block_cfg(gauss05, **kw)
+        samples = stream(rng, n)
+        blocked, _ = run_stream(cfg, samples)
+        hand = hand_loop(cfg, samples)
+        assert [r.accepted for r in blocked.stats] == [r.accepted for r in hand.stats]
+        assert np.array_equal(blocked.gram_x.points, hand.gram_x.points)
+        assert np.array_equal(blocked.gram_y.points, hand.gram_y.points)
+        assert hs_distance(blocked.snapshot_rep(), hand.snapshot_rep()) <= tol
+        assert blocked.hs_norm == pytest.approx(hs_norm(blocked.snapshot_rep()), rel=1e-9)
+        if name == "growth-16-20-25":
+            assert blocked.dict_size == 40      # admits 17, 21 and 26 grow the buffers
+        if name == "refactor":
+            assert blocked.gram_x.factorizations == hand.gram_x.factorizations == 2
+        if name == "exact-folds":
+            assert sum(r.delta == 0.0 for r in blocked.stats) > 20
+
+    def test_max_dictionary_matches_a_hand_loop(self, gauss05, rng):
+        cfg = make_cfg(gauss05, budget=ConstantBudget(0.05), max_dictionary=25)
+        samples = uniform_stream(rng, 200)
+        with pytest.raises(CapacityError) as blocked:
+            run_stream(cfg, samples)
+        with pytest.raises(CapacityError) as hand:
+            hand_loop(cfg, samples)
+        a, b = blocked.value.state, hand.value.state
+        assert a.t == b.t and a.t % 32      # raised mid-block, after projections
+        assert [r.accepted for r in a.stats] == [r.accepted for r in b.stats]
+        assert np.array_equal(a.gram_x.points, b.gram_x.points)
+        assert hs_distance(a.snapshot_rep(), b.snapshot_rep()) <= 1e-7
+
+    def test_checkpoints_change_nothing(self):
+        # a snapshot reads W without adding the pending block into it
+        xs, ys = generate_stream(DuffingTrajectories(n_traj=120, steps_per_traj=10, seed=0))
+        kernel = Kernel.gaussian(0.3)
+        cfg = LearnerConfig(lam=1.2e-3, step_schedule=ConstantStep(0.2),
+                            budget_schedule=CubicBudget(2.0), kernel_x=kernel, kernel_y=kernel)
+        plain, _ = run_stream(cfg, zip(xs, ys))
+        marks = range(37, len(xs) + 1, 37)
+        marked, reps = run_stream(cfg, zip(xs, ys), checkpoints=marks)
+        assert len(reps) == len(marks)
+        assert same_state(plain, marked)
+
+    def test_coefficients_leave_the_state_as_it_was(self, gauss05, rng):
+        cfg = make_cfg(gauss05, budget=ConstantBudget(0.05))
+        state = hand_loop(cfg, uniform_stream(rng, 60))
+        assert state._m > 0
+        before = state._Wf.copy(), state._m, state._c
+        W = state.coefficients
+        assert np.array_equal(state._Wf, before[0]) and (state._m, state._c) == before[1:]
+        state._flush()                  # the sum, added in first, rounds alike
+        assert np.array_equal(W, state._c * state._Wf[: state.dict_size, : state.dict_size])
+
+    @pytest.mark.parametrize("bad, at", [("x", 40), ("y", 33)])
+    def test_a_bad_sample_raises_from_its_own_step(self, gauss05, rng, monkeypatch, bad, at):
+        from cmestream import learner
+        samples = uniform_stream(rng, 80)
+        x, y = samples[at - 1]
+        samples[at - 1] = (np.array([np.nan, 0.5]), y) if bad == "x" else (x, np.ones(3))
+        cfg = make_cfg(gauss05, budget=ConstantBudget(0.05))
+        ref, _ = run_stream(cfg, samples[: at - 1])
+        calls, raised, inner = [], [], learner.step
+
+        def counted(state, cfg, sample):
+            calls.append(state.t + 1)
+            try:
+                return inner(state, cfg, sample)
+            except InputError:
+                raised.append(state.t + 1)
+                raise
+
+        monkeypatch.setattr(learner, "step", counted)
+        seen = []
+        with pytest.raises(InputError, match="non-finite" if bad == "x" else "dimension"):
+            run_stream(cfg, samples, on_step=seen.append)
+        state = seen[-1]
+        assert calls == list(range(1, at + 1)) and raised == [at]
+        assert state.t == len(state.stats) == len(seen) == at - 1
+        assert same_state(state, ref)
+
+    def test_max_dictionary_mid_block_carries_the_state(self, gauss05, rng):
+        cfg = make_cfg(gauss05, max_dictionary=40)
+        samples = uniform_stream(rng, 80)
+        with pytest.raises(CapacityError) as err:
+            run_stream(cfg, samples)
+        state = err.value.state
+        assert state.t == state.dict_size == 40
+        assert same_state(state, run_stream(cfg, samples[:40])[0])
+
+    def test_a_stream_error_comes_after_the_samples_before_it(self, gauss05, rng):
+        samples = uniform_stream(rng, 50)
+
+        def stream():
+            yield from samples[:40]
+            raise RuntimeError("stream broke")
+
+        seen = []
+        with pytest.raises(RuntimeError, match="stream broke"):
+            run_stream(make_cfg(gauss05), stream(), on_step=lambda s: seen.append(s.t))
+        assert seen == list(range(1, 41))
+
+    def test_list_zip_and_generator_fold_alike(self, gauss05, rng):
+        cfg = make_cfg(gauss05, budget=ConstantBudget(0.05))
+        samples = pairs_with_repeats(rng, 150)
+        xs, ys = [x for x, _ in samples], [y for _, y in samples]
+        folds = [run_stream(cfg, samples)[0], run_stream(cfg, zip(xs, ys))[0],
+                 run_stream(cfg, (s for s in samples))[0]]
+        assert same_state(folds[0], folds[1]) and same_state(folds[0], folds[2])
+
+
 class TestLearnerInvariants:
     def test_uniform_boundedness_short(self, gauss03, rng):
         bound = 1.0 / 0.1
@@ -759,24 +948,41 @@ class TestGramFactorHealth:
         # G u = r - jitter u is least exact on this badly conditioned run
         assert state.hs_norm == pytest.approx(hs_norm(state.snapshot_rep()), rel=1e-9)
 
-    def test_admit_factor_row_matches_fresh_append(self):
-        # the admit reuses the test's R k_x; the factor must equal one grown
-        # by fresh rows over the same atoms (capacity grows 16 -> 20 -> 25 -> 31 -> 38)
+    @staticmethod
+    def _admit_run():
         kernel = Kernel.gaussian(0.3)
         xs, ys = generate_stream(DuffingTrajectories(
             n_traj=40, steps_per_traj=10, seed=1))
         cfg = LearnerConfig(lam=1.2e-3, step_schedule=ConstantStep(0.2),
                             budget_schedule=CubicBudget(2.0),
                             kernel_x=kernel, kernel_y=kernel)
-        state = run_stream(cfg, zip(xs, ys))[0]
+        return cfg, list(zip(xs, ys))
+
+    @staticmethod
+    def _assert_fresh_factor(cfg, state):
+        # the factor must equal one grown by fresh rows over the same atoms
+        # (capacity grows 16 -> 20 -> 25 -> 31 -> 38)
         assert state.dict_size > 32
-        fresh = GramCache(kernel, cfg.jitter_scale)
+        fresh = GramCache(cfg.kernel_x, cfg.jitter_scale)
         fresh.append(state.gram_x.points[0])
         fresh.inverse()                 # the learner factors at its first test
         for p in state.gram_x.points[1:]:
             fresh.append(p)
         assert fresh.jitter == state.gram_x.jitter
         assert np.array_equal(fresh._factor_view(), state.gram_x._factor_view())
+
+    def test_admit_factor_row_matches_fresh_append(self):
+        # a blocked admit solves its row afresh, not from the block's R_x K_x
+        cfg, samples = self._admit_run()
+        self._assert_fresh_factor(cfg, run_stream(cfg, samples)[0])
+
+    def test_hand_admit_factor_row_matches_fresh_append(self):
+        # a hand step's admit reuses the test's R k_x
+        cfg, samples = self._admit_run()
+        state = new_state(cfg)
+        for sample in samples:
+            step(state, cfg, sample)
+        self._assert_fresh_factor(cfg, state)
 
     @pytest.mark.parametrize("eps", [1e-3, 0.05])
     @pytest.mark.parametrize("bandwidth,pairs", [
