@@ -30,15 +30,18 @@ decay (``a = 0``) exact.  Products with ``W`` apply the block as two thin
 mat-vecs, so every step stays O(d^2) and none rewrites a d x d matrix
 element by element.
 
-``run_stream`` hands the state ``_BLOCK`` samples at a time.  The first
-step of a block computes, as matrix products, what its steps read from the
-dictionary alone: the kernel matrices, ``W K_x``, ``G_Y W K_x``, the X
-solves' ``R_x K_x`` and ``R_x^T R_x K_x``, and ``W R_x^T R_x K_x`` for the
-projection's ``W h`` (``_Block``); each later step reads its column and
-corrects it in O(d b) for what the block's earlier steps changed.  So
-each d x d buffer is read once per block for these products, not once
-per sample.  A step called outside ``run_stream`` is a
-block of one, whose products are the mat-vecs.
+``run_stream`` copies each sample as it reads it and hands the state
+``_BLOCK`` samples at a time.  The first step of a block computes, as
+matrix products, what its steps read from the dictionary alone: the kernel
+matrices, ``W K_x``, ``G_Y W K_x``, the X solves' ``R_x K_x`` and
+``R_x^T R_x K_x``, and ``W R_x^T R_x K_x`` for the projection's ``W h``,
+each held sample-major (``_Block``).  Each later step reads its rows and
+corrects them for what the block's earlier steps changed, logged as
+low-rank terms: one product of ``[k_x; u_x]`` with the logged ``V`` and one
+of the result with the logged ``[U | G_Y U]``, O(d b) in all.  So each
+d x d buffer is read once per block for these products, not once per
+sample.  A step called outside ``run_stream`` is a block of one, whose
+products are the mat-vecs.
 
 This is an implementation detail.  A hand loop of ``step`` matches the
 plain coefficient recursion to machine precision (covered by the
@@ -51,12 +54,14 @@ streams of 3550 pairs (seeds 0-3; cubic, quadratic and constant 1e-3
 budgets) no decision differed, and the largest differences were 1.1e-5 in
 W (max abs difference over max abs entry) and 1.3e-8 in HS distance, both
 under the constant budget at d ~ 500; under the cubic budget they were
-1.3e-10 and 6.3e-12.  An admission solves the X factor's new row afresh,
-so the factor is bitwise the one fresh appends grow over the same atoms.
+1.4e-10 and 6.1e-12, and on 1200 pairs under the zero budget 3.6e-16 and
+1.1e-15.  An admission solves the X factor's new row afresh, so the factor
+is bitwise the one fresh appends grow over the same atoms.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Union
@@ -253,7 +258,7 @@ class LearnerState:
 
     @property
     def hs_norm(self) -> float:
-        return float(np.sqrt(max(0.0, self._norm_sq)))
+        return math.sqrt(max(0.0, self._norm_sq))
 
     # -- internal helpers ----------------------------------------------------
 
@@ -346,122 +351,120 @@ class _Block:
     """The products that the steps of one block of samples share.
 
     They are taken at the block's first step, against its d0 atoms and
-    ``A0 = Wf + U V^T`` (factored units), for the block's b samples:
+    ``A0 = Wf + U V^T`` (factored units), for the block's b samples, and
+    held sample-major: row j of each belongs to sample j and is contiguous.
 
-    - ``Kx``, ``Ky``: the kernel matrices of the block's points against the
-      atoms (``GramCache.kernel_matrix``) and then against each other, so
-      (d0 + b) x b;
-    - ``WK = A0 Kx[:d0]`` and ``GWK = G_Y WK``;
-    - ``L = R_x Kx[:d0]``, ``R_x^T L`` and ``WU = A0 R_x^T L``, when the X
-      factor exists and a step of the block tests a budget.
+    - ``Kx``, ``Ky``: the kernel values of sample j against the atoms
+      (``GramCache.kernel_matrix``), then against the block's samples, so
+      b x (d0 + b);
+    - ``WK``: ``A0 k_x``, zero past d0; ``GWK``: ``G_Y A0 k_x``, then
+      ``k_y(i) . A0 k_x`` for each block sample i, the entry it brings if it
+      joins;
+    - ``L``: ``R_x k_x``, ``LU``: ``R_x^T R_x k_x`` and ``WU = A0 LU``, when
+      the X factor exists and a step of the block tests a budget.
 
-    Step j reads column j and adds what changed since, in O(d b):
-    - an atom appended at block step i is row d0 + i of ``Kx`` and ``Ky``
-      (``rows``), and its ``G_Y`` row against ``WK`` is ``Ky^T WK`` (``KyWK``);
-      its ``R_x`` row joins ``L`` through ``GramCache.solve_parts``, and
-      ``W h`` goes back to a mat-vec for the rest of the block;
-    - a ``_MIN_FACTOR`` fold scales ``A0`` (``scale``) and every term below;
-    - each update of ``A`` since is a term ``u v^T``: a row of ``U`` and of
-      ``V``, with ``G_Y u`` in ``GU``.  A column update (admit or exact
-      fold) has ``v = e_p``; a projection queues ``u_y v^T`` with
-      ``G_Y u_y = g``, the vector its step already holds.
+    ``Kx`` and ``LU`` are the two planes of one b x 2 x (d0 + b) array
+    ``KU``, so ``[k_x; u_x]`` of sample j is one 2 x d view.  ``WK`` and
+    ``GWK`` are the two halves of plane 0 of the b x 2 x 2(d0 + b) array
+    ``WG``, and ``WU`` the first half of plane 1: the layout of the logged
+    ``[U | G_Y U]`` below, so one addition corrects all three.
 
-    A refactor of the X factor leaves the rest of the block to solve for
-    itself.  A block has at least two samples: ``step`` takes a block of
-    one as the mat-vecs it is.
+    When block sample i joins as atom d, its columns of ``Kx``, ``Ky`` and
+    ``GWK`` move to column d, over a column of a sample already stepped.  So
+    a later sample's vectors against the d atoms lead its rows.
+
+    Each update of ``A`` since is logged as a term ``u v^T``: a row of ``V``
+    and a row ``[u | G_Y u]`` of ``UG``.  A column update (admit or exact
+    fold) has ``v = e_p``; a projection logs ``u_y u_x^T`` with
+    ``G_Y u_y = g``, the vector its step already holds.  So step j corrects
+    ``W k_x``, ``G_Y W k_x`` and ``W u_x`` with two products, ``[k_x; u_x]``
+    against ``V`` and the result against ``UG``, added to its rows of ``WG``
+    at once.  A ``_MIN_FACTOR`` fold scales ``A0`` (``scale``) and the
+    logged terms.
+
+    Once an atom joins, ``W u_x`` is left to the step (its ``W h`` is a
+    mat-vec again); after a refactor of the X factor the rest of the block
+    solves for itself.  A block has at least two samples: ``step`` takes a
+    block of one as the mat-vecs it is.
     """
 
-    __slots__ = ("start", "stop", "d0", "scale", "m", "Kx", "Ky", "WK", "GWK", "KyWK", "L",
-                 "WU", "factorizations", "U", "V", "GU", "rows")
+    __slots__ = ("start", "stop", "d0", "w", "scale", "m", "KU", "Kx", "Ky", "WG", "GWK",
+                 "L", "factorizations", "V", "UG")
 
     def __init__(self, state, px: np.ndarray, py: np.ndarray, start: int):
         b, d0 = len(px), state.dict_size
-        self.start, self.stop, self.d0 = start, start + b, d0
+        w = d0 + b
+        self.start, self.stop, self.d0, self.w = start, start + b, d0, w
         self.scale, self.m, self.L = 1.0, 0, None
         gx, gy, cfg = state.gram_x, state.gram_y, state.cfg
         Kx, Ky = gx.kernel_matrix(px), gy.kernel_matrix(py)
-        self.WK = state._apply(Kx)
-        self.GWK = gy.G @ self.WK
+        WK = state._apply(Kx)
+        self.KU, self.Ky, self.WG = np.zeros((b, 2, w)), np.empty((b, w)), np.zeros((b, 2, 2 * w))
+        self.Kx, self.GWK = self.KU[:, 0], self.WG[:, 0, w:]
+        self.Kx[:, :d0], self.Kx[:, d0:] = Kx.T, cross_gram(cfg.kernel_x, px, px).T
+        self.Ky[:, :d0], self.Ky[:, d0:] = Ky.T, cross_gram(cfg.kernel_y, py, py).T
+        self.WG[:, 0, :d0] = WK.T
+        self.GWK[:, :d0], self.GWK[:, d0:] = (gy.G @ WK).T, WK.T @ Ky
         if gx.has_inverse and any(cfg.eps_at(t) != 0.0
                                   for t in range(state.t + 1, state.t + b + 1)):
-            self.L = gx.solve_parts(Kx)
-            self.WU = state._apply(self.L[1])
+            L, LU = gx.solve_parts(Kx)
+            self.L = np.ascontiguousarray(L.T)
+            self.KU[:, 1, :d0] = LU.T
+            self.WG[:, 1, :d0] = state._apply(LU).T
             self.factorizations = gx.factorizations
-        self.KyWK = Ky.T @ self.WK
-        self.Kx = np.vstack((Kx, cross_gram(cfg.kernel_x, px, px)))
-        self.Ky = np.vstack((Ky, cross_gram(cfg.kernel_y, py, py)))
-        self.U, self.V, self.GU = (np.zeros((b, d0 + b)) for _ in range(3))
-        self.rows = np.arange(d0 + b)
+        self.V, self.UG = np.zeros((b, w)), np.zeros((b, 2 * w))
 
-    def column(self, state, j: int) -> tuple:
-        """``(k_x, k_y, W k_x, G_Y W k_x)`` of sample j against the state now
-        (``W`` in factored units), as arrays the caller must not write."""
-        d, d0, m = state.dict_size, self.d0, self.m
-        if d == d0:
-            k_x, k_y = self.Kx[:d0, j], self.Ky[:d0, j]
-            wk, pk = self.WK[:, j], self.GWK[:, j]
-        else:
-            rows = self.rows[:d]
-            k_x, k_y = self.Kx[rows, j], self.Ky[rows, j]
-            wk = np.concatenate((self.WK[:, j], np.zeros(d - d0)))
-            pk = np.concatenate((self.GWK[:, j], self.KyWK[rows[d0:] - d0, j]))
+    def column(self, state, j: int, tests: bool) -> tuple:
+        """``(k_x, k_y, W k_x, G_Y W k_x, parts, W u_x)`` of sample j against
+        the state now (``W`` in factored units), as arrays the caller must not
+        write.  ``parts = state.gram_x.solve_parts(k_x)`` when the step
+        ``tests`` a budget, else None; ``W u_x`` for its ``parts``, or None
+        where the step must take ``W h`` itself."""
+        d, m, w = state.dict_size, self.m, self.w
+        k_x = self.Kx[j, :d]
+        parts, rows = None, 1       # rows 2: u_x and W u_x are the block's own
+        if tests:
+            gx = state.gram_x
+            if self.L is None or gx.factorizations != self.factorizations:
+                parts = gx.solve_parts(k_x)
+            elif d == self.d0:
+                parts, rows = (self.L[j], self.KU[j, 1, :d]), 2
+            else:
+                parts = gx.solve_parts(k_x, (self.L[j], self.KU[j, 1, :self.d0]))
+        wg = self.WG[j, :rows]
         if self.scale != 1.0:
-            wk, pk = self.scale * wk, self.scale * pk
+            wg = self.scale * wg
         if m:
-            z = self.V[:m, :d] @ k_x
-            wk = wk + self.U[:m, :d].T @ z
-            pk = pk + self.GU[:m, :d].T @ z
-        return k_x, k_y, wk, pk
-
-    def solve_x(self, state, j: int, k_x: np.ndarray) -> tuple:
-        """``state.gram_x.solve_parts(k_x)`` for sample j; ``L`` holds while
-        the X factor has not been refactored since the block began."""
-        gx = state.gram_x
-        if self.L is None or gx.factorizations != self.factorizations:
-            return gx.solve_parts(k_x)
-        L, LU = self.L
-        if state.dict_size == self.d0:
-            return L[:, j], LU[:, j]
-        return gx.solve_parts(k_x, (L[:, j], LU[:, j]))
-
-    def apply_h(self, state, j: int, wk, h, u_x) -> np.ndarray:
-        """``W h`` (factored units) for a projection's ``h = k_x - jitter u_x``:
-        ``W k_x - jitter W u_x``, with ``W u_x`` from ``A0 R_x^T L`` while the
-        atoms and the X factor are the block's own."""
-        d0, m, gx = self.d0, self.m, state.gram_x
-        if (self.L is None or gx.factorizations != self.factorizations
-                or state.dict_size != d0):
-            return state._apply(h)
-        wu = self.scale * self.WU[:, j]
-        if m:
-            wu = wu + self.U[:m, :d0].T @ (self.V[:m, :d0] @ u_x)
-        return wk - gx.jitter * wu
+            wg = wg + (self.KU[j, :rows, :d] @ self.V[:m, :d].T) @ self.UG[:m]
+        return k_x, self.Ky[j, :d], wg[0, :d], wg[0, w: w + d], parts, \
+            wg[1, :d] if rows == 2 else None
 
     def rescale(self, f: float):
         """``A <- f A``: a ``_MIN_FACTOR`` fold."""
         if f != 1.0:
-            m = self.m
             self.scale *= f
-            self.U[:m] *= f
-            self.GU[:m] *= f
+            self.UG[: self.m] *= f
 
     def add_atom(self, j: int, d: int, k_y: np.ndarray):
         """Sample j joins as atom d, with ``G_Y`` row ``k_y``."""
-        m = self.m
-        self.rows[d] = self.d0 + j
-        self.GU[:m, d] = self.U[:m, :d] @ k_y
+        m, col = self.m, self.d0 + j
+        if col != d:
+            for a in (self.Kx, self.Ky, self.GWK):
+                a[:, d] = a[:, col]
+        self.UG[:m, self.w + d] = self.UG[:m, :d] @ k_y
 
     def add_update(self, u: np.ndarray, gu: np.ndarray, v: np.ndarray):
         """``A += u v^T``, where ``G_Y u = gu``."""
-        m, n = self.m, u.shape[0]
-        self.U[m, :n], self.GU[m, :n], self.V[m, :n] = u, gu, v
+        m, w = self.m, self.w
+        self.UG[m, : u.shape[0]], self.UG[m, w: w + gu.shape[0]] = u, gu
+        self.V[m, : v.shape[0]] = v
         self.m = m + 1
 
     def add_column(self, alpha: float, beta: float, wk, pk, q: int, p: int, g_q):
         """``A[:, p] += alpha wk + beta e_q``, where ``G_Y wk = pk`` over the
         atoms before this step and ``g_q`` is row q of ``G_Y`` now."""
-        m, n = self.m, wk.shape[0]
-        u, gu = self.U[m], self.GU[m]
+        m, n, w = self.m, wk.shape[0], self.w
+        u, gu = self.UG[m, :w], self.UG[m, w:]
         u[:n] = alpha * wk
         u[q] += beta
         gu[:n] = alpha * pk
@@ -498,11 +501,16 @@ def step(state: LearnerState, cfg: LearnerConfig, sample) -> LearnerState:
         k_y = state.gram_y.kernel_vector(y)
     if cfg is not state.cfg and cfg != state.cfg:
         raise ConfigError("the config cannot change mid-run")
+    p_idx = state.gram_x.find(x)
+    q_idx = None if p_idx is None else state.gram_y.find(y)
+    contained = q_idx is not None
     if blk is None:
         wk = state._apply(k_x)  # factored units
         pk = state.gram_y.G @ wk
+        parts_x = wu = None
     else:
-        k_x, k_y, wk, pk = blk.column(state, j)
+        tests = d != 0 and not contained and eps != 0.0
+        k_x, k_y, wk, pk, parts_x, wu = blk.column(state, j, tests)
     s_x = self_kernel(cfg.kernel_x, x)
     s_y = self_kernel(cfg.kernel_y, y)
 
@@ -513,11 +521,6 @@ def step(state: LearnerState, cfg: LearnerConfig, sample) -> LearnerState:
     # |U~|_HS^2 of the expanded operator, which a column update keeps
     norm_sq = a * a * state._norm_sq + 2.0 * a * eta * rwk + eta * eta * gg * s_x
 
-    p_idx = state.gram_x.find(x)
-    q_idx = None if p_idx is None else state.gram_y.find(y)
-    contained = q_idx is not None
-    parts_x = None
-
     if d == 0:
         # empty span: the residual is the full norm and the sample is admitted
         delta = norm_sq
@@ -525,21 +528,23 @@ def step(state: LearnerState, cfg: LearnerConfig, sample) -> LearnerState:
         # the rank-one update lies exactly in the dictionary's product span
         delta = 0.0
     elif eps == 0.0:
-        delta = np.nan                      # zero budget admits; skip the test
+        delta = math.nan                    # zero budget admits; skip the test
     else:
         u_y = state.gram_y.solve(r)
-        parts_x = state.gram_x.solve_parts(k_x) if blk is None else blk.solve_x(state, j, k_x)
+        if parts_x is None:
+            parts_x = state.gram_x.solve_parts(k_x)
         u_x = parts_x[1]
-        fit = float((u_y @ r) * (k_x @ u_x))
+        kux = k_x @ u_x
+        fit = float((u_y @ r) * kux)
         delta = eta * eta * clamp_roundoff(s_x * gg - fit, s_x * gg + fit, _DELTA_CLAMP_RTOL,
                                            "compression residual came out negative")
 
-    if d == 0 or np.isnan(delta):
+    if d == 0 or delta != delta:
         reject = False
     elif cfg.budget_squared:
         reject = delta < eps
     else:
-        reject = np.sqrt(delta) <= eps
+        reject = math.sqrt(delta) <= eps
 
     if not reject:
         if cfg.max_dictionary is not None and d + 1 > cfg.max_dictionary:
@@ -549,10 +554,16 @@ def step(state: LearnerState, cfg: LearnerConfig, sample) -> LearnerState:
     elif not contained:
         # projected update: W <- a W + eta u_y u_x^T; (G + jitter I) u = rhs gives G u
         g = r - state.gram_y.jitter * u_y
-        h = k_x - state.gram_x.jitter * u_x
-        wh = state._apply(h) if blk is None else blk.apply_h(state, j, wk, h, u_x)
+        if wu is None:
+            h = k_x - state.gram_x.jitter * u_x
+            wh = state._apply(h)
+            uh = u_x @ h
+        else:
+            # the block's W u_x: W h and u_x . h without forming h
+            wh = wk - state.gram_x.jitter * wu
+            uh = kux - state.gram_x.jitter * (u_x @ u_x)
         norm_sq = a * a * state._norm_sq + 2.0 * a * eta * float(c * (g @ wh)) \
-            + eta * eta * float((u_y @ g) * (u_x @ h))
+            + eta * eta * float((u_y @ g) * uh)
     fold = state._decay(a)
     c_new = state._c
     if reject and not contained:
@@ -609,6 +620,17 @@ def checkpoint_marks(checkpoints, n_samples: Optional[int] = None) -> set:
     return marks
 
 
+def _owned(sample):
+    """``sample``'s x and y as new float arrays, so that a stream which
+    reuses its buffers cannot change a sample while it waits in a block; a
+    sample that does not convert is kept as it is, to raise from its own
+    step."""
+    try:
+        return np.array(sample[0], dtype=float), np.array(sample[1], dtype=float)
+    except Exception:
+        return sample
+
+
 def run_stream(cfg: LearnerConfig, samples, checkpoints: Optional[Sequence[int]] = None,
                on_step=None):
     """Fold ``step`` over a sample stream.
@@ -620,12 +642,13 @@ def run_stream(cfg: LearnerConfig, samples, checkpoints: Optional[Sequence[int]]
     one raises ``InputError`` before the first step, and one past the end
     of the stream (which may have no length) once the stream has ended.
 
-    The stream is read ``_BLOCK`` samples ahead of the steps and handed to
-    the state, so the first step of each block computes the products the
-    block's steps share (see ``_Block``): each d x d buffer is read once
-    per block, not once per sample.  ``step`` is still called once per
-    sample, and a sample that fails its checks, or an error the stream
-    raises, still comes after the steps of the samples before it.  The
+    The stream is read ``_BLOCK`` samples ahead of the steps, each sample
+    copied as it is read, and handed to the state, so the first step of each
+    block computes the products the block's steps share (see ``_Block``):
+    each d x d buffer is read once per block, not once per sample.  ``step``
+    is still called once per sample, and a sample that fails its checks, or
+    an error the stream raises, still comes after the steps of the samples
+    before it.  The
     result agrees with a hand loop of ``step`` to rounding, not bitwise;
     checkpoints and observers change nothing of it.
     """
@@ -638,7 +661,7 @@ def run_stream(cfg: LearnerConfig, samples, checkpoints: Optional[Sequence[int]]
             chunk, failure = [], None
             try:
                 for sample in it:
-                    chunk.append(sample)
+                    chunk.append(_owned(sample))
                     if len(chunk) == _BLOCK:
                         break
             except Exception as exc:

@@ -833,6 +833,27 @@ class TestBlockedFold:
             run_stream(make_cfg(gauss05), stream(), on_step=lambda s: seen.append(s.t))
         assert seen == list(range(1, 41))
 
+    def test_a_stream_that_reuses_its_buffers_folds_its_own_samples(self, gauss05, rng):
+        # run_stream reads a block ahead, so it must copy each sample as it
+        # reads it: here every pair is the same two arrays, rewritten
+        samples = uniform_stream(rng, 100)
+
+        def reusing():
+            x, y = np.empty(2), np.empty(2)
+            for sx, sy in samples:
+                x[:], y[:] = sx, sy
+                yield x, y
+
+        for budget in (ZeroBudget(), ConstantBudget(0.05)):
+            cfg = make_cfg(gauss05, budget=budget)
+            blocked, _ = run_stream(cfg, reusing())
+            hand = hand_loop(cfg, reusing())
+            assert [r.accepted for r in blocked.stats] == [r.accepted for r in hand.stats]
+            assert np.array_equal(blocked.gram_x.points, hand.gram_x.points)
+            assert np.array_equal(blocked.gram_y.points, hand.gram_y.points)
+            assert hs_distance(blocked.snapshot_rep(), hand.snapshot_rep()) <= 1e-10
+        assert hand_loop(make_cfg(gauss05), samples).dict_size == 100
+
     def test_list_zip_and_generator_fold_alike(self, gauss05, rng):
         cfg = make_cfg(gauss05, budget=ConstantBudget(0.05))
         samples = pairs_with_repeats(rng, 150)
@@ -840,6 +861,75 @@ class TestBlockedFold:
         folds = [run_stream(cfg, samples)[0], run_stream(cfg, zip(xs, ys))[0],
                  run_stream(cfg, (s for s in samples))[0]]
         assert same_state(folds[0], folds[1]) and same_state(folds[0], folds[2])
+
+
+def relative_error(got, want) -> float:
+    if not want.size:
+        return 0.0
+    return float(np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-300))
+
+
+# relative tolerances per stream: (corrected vectors W k_x, G_Y W k_x and
+# W h; the X solve's parts), each about ten times the largest difference
+# measured over the stream.  The vectors carry the Y factor's inverse residual
+# through g = G_Y u_y, most on the near-duplicate and refactor streams; the
+# block's GEMM parts round apart from a mat-vec's by the X factor's condition
+COLUMN_RTOL = {"admits": (1e-14, 1e-14), "exact-folds": (1e-13, 2e-11),
+               "growth-16-20-25": (1e-14, 1e-14), "lambda-eta-1": (1e-12, 4e-11),
+               "polynomial": (3e-13, 2e-6), "near-duplicates": (3e-12, 2e-8),
+               "refactor": (2e-12, 2e-6)}
+
+
+class TestBlockColumns:
+    """At every blocked step the block's corrected vectors are the mat-vecs
+    a block of one computes."""
+
+    @pytest.mark.parametrize("name", list(BLOCK_STREAMS))
+    def test_block_columns_are_the_mat_vecs(self, gauss05, rng, monkeypatch, name):
+        from cmestream import learner
+        stream, n, kw, _ = BLOCK_STREAMS[name]
+        worst = {"wk": 0.0, "pk": 0.0, "l": 0.0, "u": 0.0, "wh": 0.0}
+        seen = {"steps": 0, "parts": 0, "wh": 0}
+        column = learner._Block.column
+
+        def checked(blk, state, j, tests):
+            out = column(blk, state, j, tests)
+            k_x, _, wk, pk, parts, wu = out
+            gx = state.gram_x
+            worst["wk"] = max(worst["wk"], relative_error(wk, state._apply(k_x)))
+            worst["pk"] = max(worst["pk"], relative_error(pk, state.gram_y.G @ wk))
+            seen["steps"] += 1
+            if parts is not None:
+                l, u = gx.solve_parts(k_x)
+                worst["l"] = max(worst["l"], relative_error(parts[0], l))
+                worst["u"] = max(worst["u"], relative_error(parts[1], u))
+                seen["parts"] += 1
+            if wu is not None:
+                h = k_x - gx.jitter * parts[1]
+                worst["wh"] = max(worst["wh"],
+                                  relative_error(wk - gx.jitter * wu, state._apply(h)))
+                seen["wh"] += 1
+            return out
+
+        monkeypatch.setattr(learner._Block, "column", checked)
+        run_stream(block_cfg(gauss05, **kw), stream(rng, n))
+        assert seen["steps"] > n // 2
+        if "budget" in kw:
+            assert seen["parts"] and seen["wh"]
+        vectors, solves = COLUMN_RTOL[name]
+        assert max(worst["wk"], worst["pk"], worst["wh"]) <= vectors, worst
+        assert max(worst["l"], worst["u"]) <= solves, worst
+
+    def test_zero_budget_builds_no_x_factor_or_x_gram(self):
+        # the block forms [k_x; u_x] rows only where the X factor exists
+        kernel = Kernel.gaussian(0.3)
+        xs, ys = generate_stream(DuffingTrajectories(n_traj=120, steps_per_traj=10, seed=0))
+        cfg = LearnerConfig(lam=1.2e-3, step_schedule=ConstantStep(0.2),
+                            budget_schedule=ZeroBudget(), kernel_x=kernel, kernel_y=kernel)
+        state, _ = run_stream(cfg, zip(xs, ys))
+        assert state.dict_size == 1200
+        assert not state.gram_x.has_inverse and not state.gram_y.has_inverse
+        assert state.gram_x._G is None
 
 
 class TestLearnerInvariants:
