@@ -2,7 +2,13 @@
 
 
 class CmeError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.
+
+    ``state`` is the learner state when ``learner.step`` raised the error
+    before it changed that state (by hand or inside ``run_stream``), and
+    None otherwise."""
+
+    state = None
 
 
 class InputError(CmeError, ValueError):
@@ -22,8 +28,4 @@ class ModelError(CmeError, ValueError):
 
 
 class CapacityError(CmeError, RuntimeError):
-    """Dictionary budget exhausted; carries the learner state at failure."""
-
-    def __init__(self, message, state=None):
-        super().__init__(message)
-        self.state = state
+    """Dictionary budget exhausted."""

@@ -111,7 +111,10 @@ class Kernel:
 
 
 def _as_points(points, name: str) -> np.ndarray:
-    arr = np.asarray(points, dtype=float)
+    try:
+        arr = np.asarray(points, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{name} is not numeric: {exc}") from None
     if arr.ndim == 1:
         arr = arr[None, :]
     if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
@@ -354,9 +357,9 @@ class GramCache:
         one after another; an empty cache takes the first point's dimension.
         Points that stack into one valid n x dim array all pass."""
         try:
-            self._points(np.array(points, dtype=float), "points")
+            self._points(points, "points")
             return len(points)
-        except (InputError, ValueError):
+        except InputError:
             pass
         n, dim = 0, None
         for point in points:

@@ -30,8 +30,9 @@ decay (``a = 0``) exact.  Products with ``W`` apply the block as two thin
 mat-vecs, so every step stays O(d^2) and none rewrites a d x d matrix
 element by element.
 
-``run_stream`` copies each sample as it reads it and hands the state
-``_BLOCK`` samples at a time.  The first step of a block computes, as
+``run_stream`` reads the stream in chunks of ``_BLOCK`` samples, converts
+each sample once into new 1-d float arrays as it reads it, and hands the
+state each chunk.  The block is the chunk: its first step computes, as
 matrix products, what its steps read from the dictionary alone: the kernel
 matrices, ``W K_x``, ``G_Y W K_x``, the X solves' ``R_x K_x`` and
 ``R_x^T R_x K_x``, and ``W R_x^T R_x K_x`` for the projection's ``W h``,
@@ -41,7 +42,8 @@ low-rank terms: one product of ``[k_x; u_x]`` with the logged ``V`` and one
 of the result with the logged ``[U | G_Y U]``, O(d b) in all.  So each
 d x d buffer is read once per block for these products, not once per
 sample.  A step called outside ``run_stream`` is a block of one, whose
-products are the mat-vecs.
+products are the mat-vecs.  An error ``step`` raises before it changes the
+state carries that state (``CmeError.state``).
 
 This is an implementation detail.  A hand loop of ``step`` matches the
 plain coefficient recursion to machine precision (covered by the
@@ -62,16 +64,15 @@ is bitwise the one fresh appends grow over the same atoms.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import CapacityError, ConfigError, InputError
+from .errors import CapacityError, CmeError, ConfigError, InputError
 from .kernels import (DEFAULT_JITTER_SCALE, GramCache, Kernel, clamp_roundoff, cross_gram,
                       grown_buffer, grown_capacity, self_kernel)
-from .operator import Dictionary, OperatorRep, zero_rep
+from .operator import Dictionary, OperatorRep, json_integer, zero_rep
 
 _MIN_FACTOR = 1e-100       # fold the scalar factor into Wf below this
 _DELTA_CLAMP_RTOL = 1e-9
@@ -167,7 +168,8 @@ class LearnerConfig:
             raise ConfigError(f"unknown budget schedule {b!r}")
         if not 0 <= self.jitter_scale < np.inf:
             raise ConfigError("jitter_scale must be nonnegative and finite")
-        if self.max_dictionary is not None and self.max_dictionary < 1:
+        m = self.max_dictionary
+        if m is not None and not (json_integer(m) and m >= 1):
             raise ConfigError("max_dictionary must be positive")
 
     def eta_at(self, t: int) -> float:
@@ -318,41 +320,31 @@ class LearnerState:
         return fold
 
     def _block_for(self, sample):
-        """The block that holds ``sample`` and its column in it, or
-        ``(None, 0)`` for a block of one.  A queued sample reads the current
-        block, or starts one over the queued samples from it on that pass
-        the point checks; any other sample, or one that fails them (and so
-        raises from its own step), is a block of one."""
+        """The chunk's block and ``sample``'s row in it, or ``(None, 0)`` for
+        a block of one.  The chunk's first step builds the block over the
+        leading samples that pass the point checks.  A sample past them
+        (which fails them) and one that is not the queue's next (which drops
+        the queue) are each a block of one."""
         queue, i = self._queue, self._next
         if not (i < len(queue) and queue[i] is sample):
             self._queue, self._next, self._blk = (), 0, None
             return None, 0
         self._next = i + 1
+        if not i:
+            xs, ys = [s[0] for s in queue], [s[1] for s in queue]
+            n = min(self.gram_x.leading_valid(xs), self.gram_y.leading_valid(ys))
+            self._blk = _Block(self, np.array(xs[:n]), np.array(ys[:n])) if n > 1 else None
         blk = self._blk
-        if blk is not None and i < blk.stop:
-            return blk, i - blk.start
-        xs, ys = [], []
-        for s in queue[i:]:
-            try:
-                nx = np.asarray(s[0], dtype=float).reshape(-1)
-                ny = np.asarray(s[1], dtype=float).reshape(-1)
-            except Exception:       # the sample raises from its own step
-                break
-            xs.append(nx)
-            ys.append(ny)
-        n = min(self.gram_x.leading_valid(xs), self.gram_y.leading_valid(ys))
-        if n < 2:
-            return None, 0
-        self._blk = blk = _Block(self, np.array(xs[:n]), np.array(ys[:n]), i)
-        return blk, 0
+        return (blk, i) if blk is not None and i < blk.w - blk.d0 else (None, 0)
 
 
 class _Block:
-    """The products that the steps of one block of samples share.
+    """The products that the steps of one chunk of ``run_stream`` share.
 
-    They are taken at the block's first step, against its d0 atoms and
-    ``A0 = Wf + U V^T`` (factored units), for the block's b samples, and
-    held sample-major: row j of each belongs to sample j and is contiguous.
+    They are taken at the chunk's first step, against its d0 atoms and
+    ``A0 = Wf + U V^T`` (factored units), for the b samples that lead the
+    chunk and pass the point checks, and held sample-major: row j of each
+    belongs to sample j and is contiguous.
 
     - ``Kx``, ``Ky``: the kernel values of sample j against the atoms
       (``GramCache.kernel_matrix``), then against the block's samples, so
@@ -385,16 +377,17 @@ class _Block:
     Once an atom joins, ``W u_x`` is left to the step (its ``W h`` is a
     mat-vec again); after a refactor of the X factor the rest of the block
     solves for itself.  A block has at least two samples: ``step`` takes a
-    block of one as the mat-vecs it is.
+    block of one as the mat-vecs it is.  A budget never rises, so the block's
+    steps test one only if its first step's is nonzero.
     """
 
-    __slots__ = ("start", "stop", "d0", "w", "scale", "m", "KU", "Kx", "Ky", "WG", "GWK",
+    __slots__ = ("d0", "w", "scale", "m", "KU", "Kx", "Ky", "WG", "GWK",
                  "L", "factorizations", "V", "UG")
 
-    def __init__(self, state, px: np.ndarray, py: np.ndarray, start: int):
+    def __init__(self, state, px: np.ndarray, py: np.ndarray):
         b, d0 = len(px), state.dict_size
-        w = d0 + b
-        self.start, self.stop, self.d0, self.w = start, start + b, d0, w
+        self.d0 = d0
+        self.w = w = d0 + b
         self.scale, self.m, self.L = 1.0, 0, None
         gx, gy, cfg = state.gram_x, state.gram_y, state.cfg
         Kx, Ky = gx.kernel_matrix(px), gy.kernel_matrix(py)
@@ -405,8 +398,7 @@ class _Block:
         self.Ky[:, :d0], self.Ky[:, d0:] = Ky.T, cross_gram(cfg.kernel_y, py, py).T
         self.WG[:, 0, :d0] = WK.T
         self.GWK[:, :d0], self.GWK[:, d0:] = (gy.G @ WK).T, WK.T @ Ky
-        if gx.has_inverse and any(cfg.eps_at(t) != 0.0
-                                  for t in range(state.t + 1, state.t + b + 1)):
+        if gx.has_inverse and cfg.eps_at(state.t + 1) != 0.0:
             L, LU = gx.solve_parts(Kx)
             self.L = np.ascontiguousarray(L.T)
             self.KU[:, 1, :d0] = LU.T
@@ -479,91 +471,110 @@ def new_state(cfg: LearnerConfig) -> LearnerState:
     return LearnerState(cfg)
 
 
+def _points(sample, convert=np.asarray) -> tuple:
+    """``sample``'s x and y as 1-d float arrays made by ``convert``
+    (``np.array`` makes new ones); ``InputError`` for a sample that does not
+    convert."""
+    try:
+        return (convert(sample[0], dtype=float).reshape(-1),
+                convert(sample[1], dtype=float).reshape(-1))
+    except (TypeError, ValueError, LookupError) as exc:
+        raise InputError(f"sample is not a pair of numeric points: {exc}") from None
+
+
 def step(state: LearnerState, cfg: LearnerConfig, sample) -> LearnerState:
     """One full iteration: expand, test the compression budget, project or
     admit.  Mutates ``state`` in place and returns it.  ``cfg`` is the
     state's own config (``new_state``'s); another raises ``ConfigError``.
-    A sample that ``run_stream`` handed ahead reads its block's products;
-    any other is a block of one, whose products are the mat-vecs."""
-    x = np.asarray(sample[0], dtype=float).reshape(-1)
-    y = np.asarray(sample[1], dtype=float).reshape(-1)
+    A sample of the chunk ``run_stream`` queued reads its block's products;
+    any other is a block of one, whose products are the mat-vecs.
+
+    A ``CmeError`` raised before the state changes (a bad sample, another
+    config, the budget test's factorization or residual clamp, the
+    dictionary limit) carries the state, unchanged, as ``exc.state``.  A
+    refactor that fails inside an admission's ``GramCache.append`` comes
+    after the coefficients changed, and carries None."""
     t = state.t + 1
     eta = cfg.eta_at(t)
     eps = cfg.eps_at(t, eta)
     a = 1.0 - cfg.lam * eta
     d = state.dict_size
-
     c = state._c
-    # the caches check both points here, before anything mutates the state
-    blk, j = state._block_for(sample) if state._queue else (None, 0)
-    if blk is None:
-        k_x = state.gram_x.kernel_vector(x)
-        k_y = state.gram_y.kernel_vector(y)
-    if cfg is not state.cfg and cfg != state.cfg:
-        raise ConfigError("the config cannot change mid-run")
-    p_idx = state.gram_x.find(x)
-    q_idx = None if p_idx is None else state.gram_y.find(y)
-    contained = q_idx is not None
-    if blk is None:
-        wk = state._apply(k_x)  # factored units
-        pk = state.gram_y.G @ wk
-        parts_x = wu = None
-    else:
-        tests = d != 0 and not contained and eps != 0.0
-        k_x, k_y, wk, pk, parts_x, wu = blk.column(state, j, tests)
-    s_x = self_kernel(cfg.kernel_x, x)
-    s_y = self_kernel(cfg.kernel_y, y)
-
-    r = k_y - c * pk        # absolute: g-coefficients on the old y-atoms
-    rwk = float(c * (r @ wk))
-    kwk = float(c * (k_y @ wk))
-    gg = s_y - 2.0 * kwk + float(c * c * (wk @ pk))   # |g|^2
-    # |U~|_HS^2 of the expanded operator, which a column update keeps
-    norm_sq = a * a * state._norm_sq + 2.0 * a * eta * rwk + eta * eta * gg * s_x
-
-    if d == 0:
-        # empty span: the residual is the full norm and the sample is admitted
-        delta = norm_sq
-    elif contained:
-        # the rank-one update lies exactly in the dictionary's product span
-        delta = 0.0
-    elif eps == 0.0:
-        delta = math.nan                    # zero budget admits; skip the test
-    else:
-        u_y = state.gram_y.solve(r)
-        if parts_x is None:
-            parts_x = state.gram_x.solve_parts(k_x)
-        u_x = parts_x[1]
-        kux = k_x @ u_x
-        fit = float((u_y @ r) * kux)
-        delta = eta * eta * clamp_roundoff(s_x * gg - fit, s_x * gg + fit, _DELTA_CLAMP_RTOL,
-                                           "compression residual came out negative")
-
-    if d == 0 or delta != delta:
-        reject = False
-    elif cfg.budget_squared:
-        reject = delta < eps
-    else:
-        reject = math.sqrt(delta) <= eps
-
-    if not reject:
-        if cfg.max_dictionary is not None and d + 1 > cfg.max_dictionary:
-            raise CapacityError(f"dictionary limit {cfg.max_dictionary} exceeded at step {t}",
-                                state=state)
-        p_idx = q_idx = d       # the sample joins as atom (d, d) with zero coefficients
-    elif not contained:
-        # projected update: W <- a W + eta u_y u_x^T; (G + jitter I) u = rhs gives G u
-        g = r - state.gram_y.jitter * u_y
-        if wu is None:
-            h = k_x - state.gram_x.jitter * u_x
-            wh = state._apply(h)
-            uh = u_x @ h
+    try:
+        x, y = _points(sample)
+        # the caches check both points here, before anything mutates the state
+        blk, j = state._block_for(sample) if state._queue else (None, 0)
+        if blk is None:
+            k_x = state.gram_x.kernel_vector(x)
+            k_y = state.gram_y.kernel_vector(y)
+        if cfg is not state.cfg and cfg != state.cfg:
+            raise ConfigError("the config cannot change mid-run")
+        p_idx = state.gram_x.find(x)
+        q_idx = None if p_idx is None else state.gram_y.find(y)
+        contained = q_idx is not None
+        if blk is None:
+            wk = state._apply(k_x)  # factored units
+            pk = state.gram_y.G @ wk
+            parts_x = wu = None
         else:
-            # the block's W u_x: W h and u_x . h without forming h
-            wh = wk - state.gram_x.jitter * wu
-            uh = kux - state.gram_x.jitter * (u_x @ u_x)
-        norm_sq = a * a * state._norm_sq + 2.0 * a * eta * float(c * (g @ wh)) \
-            + eta * eta * float((u_y @ g) * uh)
+            tests = d != 0 and not contained and eps != 0.0
+            k_x, k_y, wk, pk, parts_x, wu = blk.column(state, j, tests)
+        s_x = self_kernel(cfg.kernel_x, x)
+        s_y = self_kernel(cfg.kernel_y, y)
+
+        r = k_y - c * pk        # absolute: g-coefficients on the old y-atoms
+        rwk = float(c * (r @ wk))
+        kwk = float(c * (k_y @ wk))
+        gg = s_y - 2.0 * kwk + float(c * c * (wk @ pk))   # |g|^2
+        # |U~|_HS^2 of the expanded operator, which a column update keeps
+        norm_sq = a * a * state._norm_sq + 2.0 * a * eta * rwk + eta * eta * gg * s_x
+
+        if d == 0:
+            # empty span: the residual is the full norm and the sample is admitted
+            delta = norm_sq
+        elif contained:
+            # the rank-one update lies exactly in the dictionary's product span
+            delta = 0.0
+        elif eps == 0.0:
+            delta = math.nan                    # zero budget admits; skip the test
+        else:
+            u_y = state.gram_y.solve(r)
+            if parts_x is None:
+                parts_x = state.gram_x.solve_parts(k_x)
+            u_x = parts_x[1]
+            kux = k_x @ u_x
+            fit = float((u_y @ r) * kux)
+            delta = eta * eta * clamp_roundoff(s_x * gg - fit, s_x * gg + fit,
+                                               _DELTA_CLAMP_RTOL,
+                                               "compression residual came out negative")
+
+        if d == 0 or delta != delta:
+            reject = False
+        elif cfg.budget_squared:
+            reject = delta < eps
+        else:
+            reject = math.sqrt(delta) <= eps
+
+        if not reject:
+            if cfg.max_dictionary is not None and d + 1 > cfg.max_dictionary:
+                raise CapacityError(f"dictionary limit {cfg.max_dictionary} exceeded at step {t}")
+            p_idx = q_idx = d       # the sample joins as atom (d, d) with zero coefficients
+        elif not contained:
+            # projected update: W <- a W + eta u_y u_x^T; (G + jitter I) u = rhs gives G u
+            g = r - state.gram_y.jitter * u_y
+            if wu is None:
+                h = k_x - state.gram_x.jitter * u_x
+                wh = state._apply(h)
+                uh = u_x @ h
+            else:
+                # the block's W u_x: W h and u_x . h without forming h
+                wh = wk - state.gram_x.jitter * wu
+                uh = kux - state.gram_x.jitter * (u_x @ u_x)
+            norm_sq = a * a * state._norm_sq + 2.0 * a * eta * float(c * (g @ wh)) \
+                + eta * eta * float((u_y @ g) * uh)
+    except CmeError as exc:
+        exc.state = state
+        raise
     fold = state._decay(a)
     c_new = state._c
     if reject and not contained:
@@ -587,7 +598,7 @@ def step(state: LearnerState, cfg: LearnerConfig, sample) -> LearnerState:
         # takes a fresh solve: bitwise the row a fresh append computes
         state.gram_x.append(x, k_x, s_x, parts_x if blk is None else None)
         state.gram_y.append(y, k_y, s_y)
-    if blk is not None and j + 1 < blk.stop - blk.start:
+    if blk is not None and j + 1 < blk.w - blk.d0:
         # the block's later steps read this step's changes
         blk.rescale(fold)
         if not reject:
@@ -611,24 +622,13 @@ def checkpoint_marks(checkpoints, n_samples: Optional[int] = None) -> set:
     """
     given = [] if checkpoints is None else list(checkpoints)
     for t in given:
-        if not (isinstance(t, numbers.Real) and t >= 1 and float(t).is_integer()):
+        if not (json_integer(t) and t >= 1):
             raise InputError(f"checkpoint {t!r} is not a whole number >= 1")
     marks = set(map(int, given))
     if n_samples is not None and marks and max(marks) > n_samples:
         raise InputError(f"checkpoint {max(marks)} is past the end of the "
                          f"{n_samples}-sample stream")
     return marks
-
-
-def _owned(sample):
-    """``sample``'s x and y as new float arrays, so that a stream which
-    reuses its buffers cannot change a sample while it waits in a block; a
-    sample that does not convert is kept as it is, to raise from its own
-    step."""
-    try:
-        return np.array(sample[0], dtype=float), np.array(sample[1], dtype=float)
-    except Exception:
-        return sample
 
 
 def run_stream(cfg: LearnerConfig, samples, checkpoints: Optional[Sequence[int]] = None,
@@ -642,15 +642,18 @@ def run_stream(cfg: LearnerConfig, samples, checkpoints: Optional[Sequence[int]]
     one raises ``InputError`` before the first step, and one past the end
     of the stream (which may have no length) once the stream has ended.
 
-    The stream is read ``_BLOCK`` samples ahead of the steps, each sample
-    copied as it is read, and handed to the state, so the first step of each
-    block computes the products the block's steps share (see ``_Block``):
-    each d x d buffer is read once per block, not once per sample.  ``step``
-    is still called once per sample, and a sample that fails its checks, or
-    an error the stream raises, still comes after the steps of the samples
-    before it.  The
-    result agrees with a hand loop of ``step`` to rounding, not bitwise;
-    checkpoints and observers change nothing of it.
+    The stream is read in chunks of ``_BLOCK`` samples, each sample's x
+    and y converted once, as it is read, into new 1-d float arrays (so a
+    stream may reuse its buffers), and each chunk is handed to the state.
+    A block is the chunk: its first step computes the products the chunk's
+    steps share (see ``_Block``), so each d x d buffer is read once per
+    chunk, not once per sample.  ``step`` is still called once per sample.
+    A sample that does not convert ends its chunk; it, a sample that fails
+    the point checks, and an error the stream raises each come after the
+    steps of the samples before them, and a ``CmeError`` of ``step`` carries
+    the state of those steps (see ``step``).  The result agrees with a hand
+    loop of ``step`` to rounding, not bitwise; checkpoints and observers
+    change nothing of it.
     """
     marks = checkpoint_marks(checkpoints)
     state = new_state(cfg)
@@ -658,16 +661,21 @@ def run_stream(cfg: LearnerConfig, samples, checkpoints: Optional[Sequence[int]]
     it = iter(samples)
     try:
         while True:
-            chunk, failure = [], None
+            chunk, raw, failure = [], (), None
             try:
                 for sample in it:
-                    chunk.append(_owned(sample))
+                    try:
+                        chunk.append(_points(sample, np.array))
+                    except InputError:      # raises again from its own step
+                        raw = (sample,)
+                        break
                     if len(chunk) == _BLOCK:
                         break
             except Exception as exc:
                 failure = exc
+            # the last chunk's block goes before this chunk's first step builds one
             state._queue, state._next, state._blk = chunk, 0, None
-            for sample in chunk:
+            for sample in (*chunk, *raw):
                 step(state, cfg, sample)    # the module global: a timing wrapper may replace it
                 if on_step is not None:
                     on_step(state)
@@ -675,7 +683,7 @@ def run_stream(cfg: LearnerConfig, samples, checkpoints: Optional[Sequence[int]]
                     reps.append((state.t, state.snapshot_rep()))
             if failure is not None:
                 raise failure
-            if len(chunk) < _BLOCK:
+            if len(chunk) < _BLOCK and not raw:
                 break
     finally:
         state._queue, state._next, state._blk = (), 0, None

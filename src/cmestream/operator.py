@@ -11,6 +11,7 @@ threads.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -251,10 +252,12 @@ def read_json(path, parse):
 
 
 def json_integer(value) -> bool:
-    """Whether a parsed JSON value is an integer: a bool is not, and an
-    integral float such as ``2.0`` is."""
-    return (isinstance(value, int) and not isinstance(value, bool)
-            or isinstance(value, float) and value.is_integer())
+    """Whether a value is an integer by the JSON schema's rule: a bool is
+    not, and an integral float such as ``2.0`` is.  numpy's scalars count as
+    the numbers they hold."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    return isinstance(value, numbers.Integral) or float(value).is_integer()
 
 
 def _dimension(value, atoms: np.ndarray) -> int:

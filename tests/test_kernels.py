@@ -243,7 +243,8 @@ class TestGramCache:
         assert cache.leading_valid([]) == 0
         assert cache.leading_valid(good + [np.ones(3), np.ones(2)]) == 2
         cache.append(np.zeros(2))
-        for bad in (np.array([0.0, np.nan]), np.ones(3), np.ones((2, 2)), np.zeros(0)):
+        for bad in (np.array([0.0, np.nan]), np.ones(3), np.ones((2, 2)), np.zeros(0),
+                    "abc", object(), [1.0, [2.0]]):
             with pytest.raises(InputError):
                 cache.kernel_vector(bad)
             assert cache.leading_valid(good + [bad] + good) == 2

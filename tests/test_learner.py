@@ -1,6 +1,7 @@
 import os
 import re
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from cmestream import (CapacityError, ConfigError, ConstantBudget, ConstantStep,
                        CubicBudget, Dictionary, DuffingTrajectories, FiniteChainStream,
                        FiniteSpaceModel, GramCache, InputError, Kernel, LearnerConfig,
-                       OperatorRep, PolynomialStep, QuadraticBudget,
+                       NumericalError, OperatorRep, PolynomialStep, QuadraticBudget,
                        ZeroBudget, checkpoint_marks, eval_kernel,
                        generate_stream, gram_matrix, hs_distance, hs_norm,
                        inverse_with_jitter, new_state, run_stream, step)
@@ -77,6 +78,14 @@ class TestConfigValidation:
                             budget_schedule=CubicBudget(2.0),
                             kernel_x=gauss03, kernel_y=gauss03)
         assert cub.eps_at(7) == pytest.approx(2 * 0.2 ** 3)
+
+    def test_max_dictionary_is_a_whole_number(self, gauss03):
+        # the schema's integer rule: a bool is not one, an integral float is
+        for value in (True, np.True_, 2.5, 0, np.nan, "3"):
+            with pytest.raises(ConfigError, match="max_dictionary must be positive"):
+                make_cfg(gauss03, max_dictionary=value)
+        for value in (1, 3.0, np.int64(3)):
+            assert make_cfg(gauss03, max_dictionary=value).max_dictionary == value
 
 
 class TestSgdExpand:
@@ -352,8 +361,9 @@ class TestStep:
             return state.t, state.dict_size, len(state.stats), state.hs_norm
 
         before, W = scalars(), state.coefficients
-        with pytest.raises(InputError):     # a new schedule rides along
+        with pytest.raises(InputError) as exc:     # a new schedule rides along
             step(state, make_cfg(gauss03, eta=0.1, budget=ConstantBudget(0.01)), sample)
+        assert exc.value.state is state
         assert scalars() == before and state.cfg is cfg
         assert np.array_equal(state.coefficients, W)
 
@@ -371,8 +381,9 @@ class TestStep:
         step(state, make_cfg(gauss03, **base), ([0.3, 0.3], [0.1, 0.1]))
         before, W = (state.t, state.dict_size, len(state.stats), state.hs_norm), \
             state.coefficients
-        with pytest.raises(ConfigError, match="mid-run"):
+        with pytest.raises(ConfigError, match="mid-run") as exc:
             step(state, make_cfg(gauss03, **{**base, **change}), ([0.2, 0.4], [0.4, 0.2]))
+        assert exc.value.state is state
         assert (state.t, state.dict_size, len(state.stats), state.hs_norm) == before
         assert state.cfg is cfg and np.array_equal(state.coefficients, W)
 
@@ -618,6 +629,10 @@ class TestRunStream:
             checkpoint_marks([2, 5], 4)
         with pytest.raises(InputError, match="whole number"):
             checkpoint_marks([0], 4)
+        for mark in (True, np.True_, 2.5):
+            with pytest.raises(InputError, match="whole number"):
+                checkpoint_marks([mark])
+        assert checkpoint_marks([np.int64(3), np.float64(2.0)]) == {2, 3}
 
     def test_readme_quick_start_runs(self, capsys):
         with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
@@ -672,6 +687,11 @@ def hand_loop(cfg, samples):
     return state
 
 
+def stream_fold(cfg, samples):
+    """``run_stream``'s state, or a fresh one for no samples."""
+    return run_stream(cfg, samples)[0] if len(samples) else new_state(cfg)
+
+
 def pairs_with_repeats(rng, n, dim=2):
     # every fourth sample repeats an earlier pair: an exact fold
     out = []
@@ -698,8 +718,8 @@ def repeated_x_pairs(rng, n):
     return list(zip(xs, ys))
 
 
-def uniform_stream(rng, n):
-    return [(rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)) for _ in range(n)]
+def uniform_stream(rng, n, dim=2):
+    return [(rng.uniform(-1, 1, dim), rng.uniform(-1, 1, dim)) for _ in range(n)]
 
 
 BLOCK_STREAMS = {
@@ -716,6 +736,17 @@ BLOCK_STREAMS = {
                                                     "budget": ConstantBudget(1e-3)}, 1e-7),
     "refactor": (repeated_x_pairs, 100, {"budget": ConstantBudget(1e-3),
                                          "jitter_scale": 0.0}, 1e-7),
+    # chunk edges: one chunk of 31 or 32 samples; chunks of 32 + 1; 32 + 32 + 1
+    "length-31": (uniform_stream, 31, {"budget": ConstantBudget(0.05)}, 1e-10),
+    "length-32": (uniform_stream, 32, {"budget": ConstantBudget(0.05)}, 1e-10),
+    "length-33": (uniform_stream, 33, {"budget": ConstantBudget(0.05)}, 1e-10),
+    "length-65": (uniform_stream, 65, {"budget": ConstantBudget(0.05)}, 1e-10),
+    "linear-kernel": (partial(uniform_stream, dim=3), 100,
+                      {"kernel": Kernel.linear(3.0), "budget": ConstantBudget(0.05)}, 1e-10),
+    "points-1d": (partial(uniform_stream, dim=1), 100, {"budget": ConstantBudget(0.05)}, 1e-10),
+    "points-3d": (partial(uniform_stream, dim=3), 100, {"budget": ConstantBudget(0.05)}, 1e-10),
+    "budget-squared": (uniform_stream, 200, {"budget": ConstantBudget(2.5e-3),
+                                             "budget_squared": True}, 1e-10),
 }
 
 
@@ -812,6 +843,60 @@ class TestBlockedFold:
         assert state.t == len(state.stats) == len(seen) == at - 1
         assert same_state(state, ref)
 
+    @pytest.mark.parametrize("bad", ["abc", object(), [1.0, [2.0]]],
+                             ids=["text", "object", "ragged"])
+    def test_a_sample_that_does_not_convert_raises_input_error(self, gauss05, rng, bad):
+        # by hand, and at stream position 6, mid-chunk
+        cfg = make_cfg(gauss05, budget=ConstantBudget(0.05))
+        samples = uniform_stream(rng, 40)
+        samples[5] = (bad, samples[5][1])
+        state = hand_loop(cfg, samples[:5])
+        with pytest.raises(InputError, match="numeric") as hand:
+            step(state, cfg, samples[5])
+        assert hand.value.state is state and same_state(state, hand_loop(cfg, samples[:5]))
+        seen = []
+        with pytest.raises(InputError, match="numeric") as blocked:
+            run_stream(cfg, samples, on_step=lambda s: seen.append(s.t))
+        assert seen == [1, 2, 3, 4, 5]
+        assert same_state(blocked.value.state, stream_fold(cfg, samples[:5]))
+
+    @pytest.mark.parametrize("at", [1, 2, 32, 33, 34, 64, 65])
+    @pytest.mark.parametrize("bad", ["x", "y"])
+    def test_a_failure_carries_the_state_before_it(self, gauss05, rng, bad, at):
+        # a bad x fails the point checks, a bad y does not convert; at the
+        # chunk edges the state is the fold of the chunks before and their
+        # prefix of this one
+        cfg = make_cfg(gauss05, budget=ConstantBudget(0.05))
+        samples = uniform_stream(rng, 70)
+        x, y = samples[at - 1]
+        samples[at - 1] = (np.array([np.nan, 0.5]), y) if bad == "x" else (x, "abc")
+        for fold in (stream_fold, hand_loop):
+            with pytest.raises(InputError) as exc:
+                fold(cfg, samples)
+            assert same_state(exc.value.state, fold(cfg, samples[: at - 1]))
+
+    def test_a_residual_clamp_error_carries_the_state(self, gauss05, rng, monkeypatch):
+        from cmestream import learner
+        cfg = make_cfg(gauss05, budget=ConstantBudget(0.05))
+        samples = uniform_stream(rng, 80)
+        inner, calls = learner.clamp_roundoff, []
+
+        def failing(raw, scale, rtol, message):
+            calls.append(raw)
+            if len(calls) == 40:
+                raise NumericalError(f"{message}: {raw}")
+            return inner(raw, scale, rtol, message)
+
+        for fold in (stream_fold, hand_loop):
+            calls.clear()
+            monkeypatch.setattr(learner, "clamp_roundoff", failing)
+            with pytest.raises(NumericalError) as exc:
+                fold(cfg, samples)
+            monkeypatch.undo()
+            state = exc.value.state
+            assert 32 < state.t < 64       # raised mid-chunk
+            assert same_state(state, fold(cfg, samples[: state.t]))
+
     def test_max_dictionary_mid_block_carries_the_state(self, gauss05, rng):
         cfg = make_cfg(gauss05, max_dictionary=40)
         samples = uniform_stream(rng, 80)
@@ -877,7 +962,11 @@ def relative_error(got, want) -> float:
 COLUMN_RTOL = {"admits": (1e-14, 1e-14), "exact-folds": (1e-13, 2e-11),
                "growth-16-20-25": (1e-14, 1e-14), "lambda-eta-1": (1e-12, 4e-11),
                "polynomial": (3e-13, 2e-6), "near-duplicates": (3e-12, 2e-8),
-               "refactor": (2e-12, 2e-6)}
+               "refactor": (2e-12, 2e-6), "length-31": (1e-14, 1e-14),
+               "length-32": (1e-14, 1e-14), "length-33": (1e-14, 1e-14),
+               "length-65": (5e-14, 7e-12), "linear-kernel": (6e-13, 4e-15),
+               "points-1d": (2e-13, 4e-12), "points-3d": (3e-14, 3e-12),
+               "budget-squared": (3e-13, 2e-10)}
 
 
 class TestBlockColumns:
@@ -915,7 +1004,10 @@ class TestBlockColumns:
         run_stream(block_cfg(gauss05, **kw), stream(rng, n))
         assert seen["steps"] > n // 2
         if "budget" in kw:
-            assert seen["parts"] and seen["wh"]
+            assert seen["parts"]
+        if "budget" in kw and n > 2 * learner._BLOCK:
+            # a block takes W u_x only over a factored dictionary: not the first
+            assert seen["wh"]
         vectors, solves = COLUMN_RTOL[name]
         assert max(worst["wk"], worst["pk"], worst["wh"]) <= vectors, worst
         assert max(worst["l"], worst["u"]) <= solves, worst
