@@ -8,7 +8,6 @@ seeded generators, so identical sources produce bitwise-identical streams.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -16,6 +15,7 @@ import numpy as np
 
 from .batch import FiniteSpaceModel, stationary_distribution
 from .errors import InputError, ModelError
+from .operator import strict_integer
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,7 @@ def duffing_trajectory(init, n_steps: int, p: DuffingParams) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _check_seed(seed):
-    if isinstance(seed, bool) or not (isinstance(seed, numbers.Integral) and seed >= 0):
+    if not strict_integer(seed, 0):
         raise InputError(f"seed must be an integer >= 0, got {seed!r}")
 
 
@@ -111,8 +111,9 @@ class DuffingTrajectories:
 
     def __post_init__(self):
         _check_seed(self.seed)
-        if self.n_traj < 1 or self.steps_per_traj < 1:
-            raise InputError("need at least one trajectory and one step")
+        if not (strict_integer(self.n_traj, 1) and strict_integer(self.steps_per_traj, 1)):
+            raise InputError("need integer counts of at least one trajectory and one step, "
+                             f"got {self.n_traj!r} and {self.steps_per_traj!r}")
         box = np.asarray(self.init_box, dtype=float)
         if box.shape != (2, 2):
             raise InputError("init_box must give (lo, hi) per state dimension")
@@ -133,8 +134,9 @@ class FiniteChainStream:
 
     def __post_init__(self):
         _check_seed(self.seed)
-        if self.n_samples < 1 or self.burn_in < 0:
-            raise InputError("need n_samples >= 1 and burn_in >= 0")
+        if not (strict_integer(self.n_samples, 1) and strict_integer(self.burn_in, 0)):
+            raise InputError("need n_samples >= 1 and burn_in >= 0, as integers, "
+                             f"got {self.n_samples!r} and {self.burn_in!r}")
         model = self.model
         if model.transition is None:
             raise InputError("finite chain stream needs a transition matrix")
@@ -151,8 +153,8 @@ class FiniteIIDStream:
 
     def __post_init__(self):
         _check_seed(self.seed)
-        if self.n_samples < 1:
-            raise InputError("need n_samples >= 1")
+        if not strict_integer(self.n_samples, 1):
+            raise InputError(f"need n_samples >= 1, an integer, got {self.n_samples!r}")
 
 
 Source = Union[DuffingTrajectories, FiniteChainStream, FiniteIIDStream]

@@ -353,26 +353,16 @@ class GramCache:
         return p
 
     def leading_valid(self, points) -> int:
-        """How many of the leading ``points`` pass ``kernel_vector``'s checks,
-        one after another; an empty cache takes the first point's dimension.
-        Points that stack into one valid n x dim array all pass."""
-        try:
-            self._points(points, "points")
-            return len(points)
-        except InputError:
-            pass
-        n, dim = 0, None
-        for point in points:
+        """The largest n whose first n ``points`` pass ``_points`` as one
+        stacked array: for 1-d float points, as the learner passes, the prefix
+        of points that stack and each pass ``kernel_vector``'s checks."""
+        for n in range(len(points), 0, -1):
             try:
-                p = self._point(point)
+                self._points(points[:n], "points")
+                return n
             except InputError:
-                break
-            if dim is None:
-                dim = p.shape[1]
-            elif p.shape[1] != dim:
-                break
-            n += 1
-        return n
+                pass
+        return 0
 
     def kernel_vector(self, point) -> np.ndarray:
         """Kernel values of ``point`` against every cached point."""
@@ -384,15 +374,15 @@ class GramCache:
     def kernel_matrix(self, points) -> np.ndarray:
         """Kernel values of each of the b x dim ``points`` against every cached
         point: a size x b matrix whose column j is bitwise
-        ``kernel_vector(points[j])``.  A Gaussian block is one ``cross_gram``,
-        whose entries take ``_kvec``'s arithmetic one by one; any other
-        kernel takes ``_kvec`` point by point."""
+        ``kernel_vector(points[j])``.  A Gaussian block is one ``_pairwise``
+        against the atoms (checked when appended), whose entries take
+        ``_kvec``'s arithmetic; any other kernel takes ``_kvec`` point by point."""
         pts = self._points(points, "points")
         if self.size == 0:
             return np.zeros((0, len(pts)))
         if self.kernel.family != "gaussian":
             return np.column_stack([self._kvec(self.size, p[None, :]) for p in pts])
-        return cross_gram(self.kernel, self._pts[:, : self.size].T, pts)
+        return _pairwise(self.kernel, self._pts[:, : self.size].T, pts)
 
     def _kvec(self, n: int, p: np.ndarray) -> np.ndarray:
         """Kernel values of the 1 x dim point ``p`` against points 0..n-1."""
@@ -410,10 +400,18 @@ class GramCache:
         out /= 2.0 * self.kernel.bandwidth ** 2
         return np.exp(out, out=out)
 
+    @staticmethod
+    def _key(point) -> bytes:
+        """``point``'s index key, its bytes after ``+ 0.0`` (-0.0 -> 0.0)."""
+        try:
+            return (np.asarray(point, dtype=float).reshape(-1) + 0.0).tobytes()
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"point is not numeric: {exc}") from None
+
     def find(self, point) -> Optional[int]:
-        """First index whose point ``==`` ``point`` (so -0.0 matches 0.0), or None."""
-        key = (np.asarray(point, dtype=float).reshape(-1) + 0.0).tobytes()
-        return self._index.get(key)
+        """First index whose point ``==`` ``point`` (so -0.0 matches 0.0), or
+        None (so for a NaN point); ``InputError`` if it does not convert."""
+        return self._index.get(self._key(point))
 
     def _grow(self, need: int):
         cap = self._pts.shape[1]
@@ -426,10 +424,10 @@ class GramCache:
         if self._R is not None:
             self._R = grown_buffer(self._R[:n, :n], (cap, cap), np.zeros)
 
-    def append(self, point, kvec: Optional[np.ndarray] = None, diag: Optional[float] = None,
-               parts: Optional[tuple] = None):
-        """Add a point.  ``kvec = kernel_vector(point)``, ``diag = self_kernel``
-        of it and ``parts = solve_parts(kvec)`` may be passed in when known."""
+    def append(self, point, kvec: Optional[np.ndarray] = None, diag: Optional[float] = None):
+        """Add a point.  ``kvec = kernel_vector(point)`` and ``diag =
+        self_kernel`` of it may be passed in when known; the factor's new row
+        is always solved afresh from ``kvec``."""
         p = self._point(point)
         if self._pts is None:
             self._pts = np.empty((p.shape[1], 0))
@@ -440,17 +438,17 @@ class GramCache:
         d = self.size
         self._grow(d + 1)
         self._pts[:, d] = p[0]
-        self._index.setdefault((p[0] + 0.0).tobytes(), d)   # + 0.0: -0.0 -> 0.0
+        self._index.setdefault(self._key(p[0]), d)
         if self._G is not None:
             self._G[:d, d] = kvec
             self._G[d, :d] = kvec
             self._G[d, d] = diag
         if self._R is not None:
-            self._append_row(d, kvec, diag, parts)
+            self._append_row(d, kvec, diag)
         self.size = d + 1
 
-    def _append_row(self, d: int, kvec: np.ndarray, diag: float, parts):
-        l, u = self.solve_parts(kvec) if parts is None else parts
+    def _append_row(self, d: int, kvec: np.ndarray, diag: float):
+        l, u = self.solve_parts(kvec)
         s = diag + self.jitter - l @ l
         if s <= SCHUR_FALLBACK_RTOL * (diag + self.jitter):
             self._factor(d + 1)     # degenerate pivot: refactor, escalating jitter

@@ -9,7 +9,6 @@ style output.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -17,7 +16,7 @@ import numpy as np
 
 from .errors import InputError, NumericalError
 from .kernels import Kernel, cross_gram
-from .operator import Dictionary, OperatorRep
+from .operator import Dictionary, OperatorRep, strict_integer
 
 RESIDUAL_RTOL = 1e-6
 _REAL_TOL = 1e-10
@@ -241,8 +240,8 @@ class GridSpec:
     def __post_init__(self):
         if not (len(self.mins) == len(self.maxs) == len(self.counts) == 2):
             raise InputError("grids must be two-dimensional")
-        if not all(isinstance(c, numbers.Integral) for c in self.counts):
-            raise InputError("grid counts must be integers")
+        if not all(strict_integer(c, 0) for c in self.counts):
+            raise InputError(f"grid counts must be integers, got {self.counts!r}")
         if any(c < 2 for c in self.counts):
             raise InputError("grids need at least 2 nodes per axis")
         if not np.isfinite([*self.mins, *self.maxs]).all():

@@ -41,9 +41,10 @@ corrects them for what the block's earlier steps changed, logged as
 low-rank terms: one product of ``[k_x; u_x]`` with the logged ``V`` and one
 of the result with the logged ``[U | G_Y U]``, O(d b) in all.  So each
 d x d buffer is read once per block for these products, not once per
-sample.  A step called outside ``run_stream`` is a block of one, whose
-products are the mat-vecs.  An error ``step`` raises before it changes the
-state carries that state (``CmeError.state``).
+sample.  A step called outside ``run_stream`` is a block of one: it takes
+the products as mat-vecs, bitwise what a ``_Block`` of one holds, and then
+the same arithmetic.  An error ``step`` raises before it changes the state
+carries that state (``CmeError.state``).
 
 This is an implementation detail.  A hand loop of ``step`` matches the
 plain coefficient recursion to machine precision (covered by the
@@ -374,11 +375,12 @@ class _Block:
     at once.  A ``_MIN_FACTOR`` fold scales ``A0`` (``scale``) and the
     logged terms.
 
-    Once an atom joins, ``W u_x`` is left to the step (its ``W h`` is a
-    mat-vec again); after a refactor of the X factor the rest of the block
-    solves for itself.  A block has at least two samples: ``step`` takes a
-    block of one as the mat-vecs it is.  A budget never rises, so the block's
-    steps test one only if its first step's is nonzero.
+    Once an atom joins, ``W u_x`` is left to the step (a mat-vec); after a
+    refactor of the X factor the rest of the block solves for itself.  A
+    block has at least two samples: ``step`` takes a block of one's products
+    as the mat-vecs, which numpy rounds bitwise alike (``(d, d) @ (d, 1)``
+    runs the GEMV of ``(d, d) @ (d,)``).  A budget never rises, so the
+    block's steps test one only if its first step's is nonzero.
     """
 
     __slots__ = ("d0", "w", "scale", "m", "KU", "Kx", "Ky", "WG", "GWK",
@@ -411,7 +413,7 @@ class _Block:
         the state now (``W`` in factored units), as arrays the caller must not
         write.  ``parts = state.gram_x.solve_parts(k_x)`` when the step
         ``tests`` a budget, else None; ``W u_x`` for its ``parts``, or None
-        where the step must take ``W h`` itself."""
+        where the step must take it itself."""
         d, m, w = state.dict_size, self.m, self.w
         k_x = self.Kx[j, :d]
         parts, rows = None, 1       # rows 2: u_x and W u_x are the block's own
@@ -487,7 +489,8 @@ def step(state: LearnerState, cfg: LearnerConfig, sample) -> LearnerState:
     admit.  Mutates ``state`` in place and returns it.  ``cfg`` is the
     state's own config (``new_state``'s); another raises ``ConfigError``.
     A sample of the chunk ``run_stream`` queued reads its block's products;
-    any other is a block of one, whose products are the mat-vecs.
+    any other is a block of one, whose products are the mat-vecs: it
+    computes bitwise what a ``_Block`` of one would.
 
     A ``CmeError`` raised before the state changes (a bad sample, another
     config, the budget test's factorization or residual clamp, the
@@ -563,13 +566,10 @@ def step(state: LearnerState, cfg: LearnerConfig, sample) -> LearnerState:
             # projected update: W <- a W + eta u_y u_x^T; (G + jitter I) u = rhs gives G u
             g = r - state.gram_y.jitter * u_y
             if wu is None:
-                h = k_x - state.gram_x.jitter * u_x
-                wh = state._apply(h)
-                uh = u_x @ h
-            else:
-                # the block's W u_x: W h and u_x . h without forming h
-                wh = wk - state.gram_x.jitter * wu
-                uh = kux - state.gram_x.jitter * (u_x @ u_x)
+                wu = state._apply(u_x)
+            # W h and u_x . h for h = k_x - jitter u_x, without forming h
+            wh = wk - state.gram_x.jitter * wu
+            uh = kux - state.gram_x.jitter * (u_x @ u_x)
             norm_sq = a * a * state._norm_sq + 2.0 * a * eta * float(c * (g @ wh)) \
                 + eta * eta * float((u_y @ g) * uh)
     except CmeError as exc:
@@ -594,9 +594,7 @@ def step(state: LearnerState, cfg: LearnerConfig, sample) -> LearnerState:
     if not reject:
         # the caches grow after the coefficient buffer: in the other order
         # `cme learn` on the README config peaks about 0.6 MiB higher
-        # a block's parts round as its GEMM does, so the factor's new row
-        # takes a fresh solve: bitwise the row a fresh append computes
-        state.gram_x.append(x, k_x, s_x, parts_x if blk is None else None)
+        state.gram_x.append(x, k_x, s_x)
         state.gram_y.append(y, k_y, s_y)
     if blk is not None and j + 1 < blk.w - blk.d0:
         # the block's later steps read this step's changes

@@ -260,6 +260,12 @@ def json_integer(value) -> bool:
     return isinstance(value, numbers.Integral) or float(value).is_integer()
 
 
+def strict_integer(value, low: int) -> bool:
+    """Whether a value is an integer >= ``low`` as numpy takes a count or a
+    seed: an ``Integral`` that is not a bool (so ``2.0`` is not)."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Integral) and value >= low
+
+
 def _dimension(value, atoms: np.ndarray) -> int:
     """A declared point dimension: an integer >= 0, the atoms' own when there
     are any."""

@@ -157,6 +157,9 @@ class TestGenerateStream:
 
     @pytest.mark.parametrize("keys", [
         {"n_traj": 0}, {"steps_per_traj": 0},
+        # numpy would raise its own TypeError only when the stream is drawn,
+        # and would take True as 1
+        {"n_traj": 2.5}, {"steps_per_traj": 2.5}, {"n_traj": True}, {"steps_per_traj": 2.0},
         {"init_box": ((-2.0, 2.0),)}, {"init_box": ((-2.0, np.inf), (-2.0, 2.0))},
         {"init_box": ((-2.0, 2.0), (np.nan, 2.0))},
         # finite bounds whose width overflows
@@ -183,11 +186,25 @@ class TestGenerateStream:
     @pytest.mark.parametrize("make", [
         lambda m: FiniteChainStream(model=m, n_samples=0, seed=0),
         lambda m: FiniteChainStream(model=m, n_samples=5, seed=0, burn_in=-1),
-        lambda m: FiniteIIDStream(model=m, n_samples=0, seed=0)],
-        ids=["chain-n_samples", "chain-burn_in", "iid-n_samples"])
+        lambda m: FiniteIIDStream(model=m, n_samples=0, seed=0),
+        lambda m: FiniteChainStream(model=m, n_samples=3.5, seed=0),
+        lambda m: FiniteChainStream(model=m, n_samples=5, seed=0, burn_in=0.5),
+        lambda m: FiniteChainStream(model=m, n_samples=True, seed=0),
+        lambda m: FiniteIIDStream(model=m, n_samples=2.5, seed=0)],
+        ids=["chain-n_samples", "chain-burn_in", "iid-n_samples", "chain-n_samples-fraction",
+             "chain-burn_in-fraction", "chain-n_samples-bool", "iid-n_samples-fraction"])
     def test_finite_source_checked_when_made(self, chain_model, make):
         with pytest.raises(InputError, match="need n_samples >= 1"):
             make(chain_model)
+
+    def test_numpy_integer_counts_accepted(self, chain_model):
+        ref = generate_stream(DuffingTrajectories(n_traj=2, steps_per_traj=3, seed=1))
+        got = generate_stream(DuffingTrajectories(n_traj=np.int64(2), steps_per_traj=np.int32(3),
+                                                  seed=1))
+        assert all(np.array_equal(a, b) for a, b in zip(ref, got))
+        chain = FiniteChainStream(model=chain_model, n_samples=np.int64(5), seed=0,
+                                  burn_in=np.int64(2))
+        assert len(generate_stream(chain)[0]) == 5
 
 
 simplex3 = st.lists(st.floats(0.01, 1.0), min_size=3, max_size=3).map(

@@ -295,6 +295,15 @@ class TestGramCache:
         assert cache.find([2.0, 1.0]) is None
         assert cache.find([1.0]) is None
 
+    @pytest.mark.parametrize("bad", ["abc", object(), [1.0, [2.0]]],
+                             ids=["text", "object", "ragged"])
+    def test_find_rejects_a_point_that_does_not_convert(self, gauss05, bad):
+        cache = GramCache(gauss05)
+        cache.append([1.0, 2.0])
+        with pytest.raises(InputError, match="not numeric"):
+            cache.find(bad)
+        assert cache.find([np.nan, 2.0]) is None       # no atom equals it
+
     @pytest.mark.parametrize("bandwidth", [1e-3, 1e3])
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_gaussian_kernel_vector_bitwise_cross_gram(self, rng, dim, bandwidth):

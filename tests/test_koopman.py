@@ -396,6 +396,12 @@ class TestGridEval:
         with pytest.raises(InputError):
             GridSpec(**{"mins": (-1, -1), "maxs": (1, 1), "counts": (2, 2), **kw})
 
+    @pytest.mark.parametrize("counts", [(True, 3), (3, False), (2.0, 2)])
+    def test_counts_must_be_integers(self, counts):
+        # a bool is no count, though numbers.Integral holds it
+        with pytest.raises(InputError, match="grid counts must be integers"):
+            GridSpec(mins=(-1, -1), maxs=(1, 1), counts=counts)
+
     def test_numpy_integer_counts_accepted(self):
         grid = GridSpec(mins=(0, 0), maxs=(1, 1), counts=(np.int64(3), np.int64(2)))
         assert grid.points().shape == (6, 2)

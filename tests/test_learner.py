@@ -781,6 +781,30 @@ class TestBlockedFold:
         if name == "exact-folds":
             assert sum(r.delta == 0.0 for r in blocked.stats) > 20
 
+    @pytest.mark.parametrize("name", list(BLOCK_STREAMS))
+    def test_a_hand_step_is_a_block_of_one(self, gauss05, rng, monkeypatch, name):
+        # every step of the second fold reads a _Block built for its sample
+        # alone: the hand step's mat-vecs must give it bit for bit
+        from cmestream import learner
+        stream, n, kw, _ = BLOCK_STREAMS[name]
+        cfg = block_cfg(gauss05, **kw)
+        samples = stream(rng, n)
+        hand = hand_loop(cfg, samples)
+        built = []
+
+        def block_of_one(state, sample):
+            x, y = learner._points(sample)
+            built.append(learner._Block(state, x[None], y[None]))
+            return built[-1], 0
+
+        monkeypatch.setattr(learner.LearnerState, "_block_for", block_of_one)
+        forced = new_state(cfg)
+        forced._queue = samples         # step asks for a block only with a queue
+        for sample in samples:
+            step(forced, cfg, sample)
+        assert len(built) == n
+        assert same_state(hand, forced)
+
     def test_max_dictionary_matches_a_hand_loop(self, gauss05, rng):
         cfg = make_cfg(gauss05, budget=ConstantBudget(0.05), max_dictionary=25)
         samples = uniform_stream(rng, 200)
@@ -1159,7 +1183,7 @@ class TestGramFactorHealth:
         self._assert_fresh_factor(cfg, run_stream(cfg, samples)[0])
 
     def test_hand_admit_factor_row_matches_fresh_append(self):
-        # a hand step's admit reuses the test's R k_x
+        # a hand step's admit solves its row afresh too
         cfg, samples = self._admit_run()
         state = new_state(cfg)
         for sample in samples:
