@@ -16,10 +16,10 @@ if "CME_NUM_THREADS" in _os.environ and "numpy" not in _sys.modules:
         _os.environ.setdefault(_var, _n)
 
 from .batch import (FiniteSpaceModel, batch_solution, distance_to_oracle,
-                    exact_finite_cme, gradient_norm_gram, stationary_distribution)
+                    exact_finite_cme, stationary_distribution)
 from .dynamics import (DuffingParams, DuffingTrajectories, FiniteChainStream,
                        FiniteIIDStream, duffing_step, duffing_trajectory,
-                       generate_stream, mixing_time, tv_distance)
+                       generate_stream)
 from .errors import (CapacityError, CmeError, ConfigError, InputError,
                      ModelError, NumericalError)
 from .kernels import (GramCache, Kernel, cross_gram, eval_kernel, gram_matrix,
@@ -49,11 +49,11 @@ __all__ = [
     "checkpoint_marks", "conditional_expectation", "cross_gram",
     "distance_to_oracle", "duffing_step", "duffing_trajectory",
     "eigen_spectrum", "eval_eigenfunction", "eval_kernel",
-    "exact_finite_cme", "generate_stream", "gradient_norm_gram",
+    "exact_finite_cme", "generate_stream",
     "gram_matrix", "grid_eval", "hs_distance", "hs_inner", "hs_norm",
     "hs_norm_sq", "inverse_with_jitter", "koopman_matrix",
-    "koopman_spectrum", "load_rep", "mixing_time", "new_state",
+    "koopman_spectrum", "load_rep", "new_state",
     "predict_coefficients", "propagate_kme", "rep_from_dict",
     "rep_to_dict", "run_stream", "save_rep", "stationary_distribution",
-    "step", "tv_distance", "woodbury_append", "zero_rep",
+    "step", "woodbury_append", "zero_rep",
 ]

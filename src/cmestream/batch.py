@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InputError, ModelError
 from .kernels import Kernel, gram_matrix
-from .operator import (Dictionary, OperatorRep, hs_distance, hs_norm, json_field,
+from .operator import (Dictionary, OperatorRep, hs_distance, json_field,
                        read_json)
 
 
@@ -53,27 +53,6 @@ def batch_solution(samples, lam: float, kernel_x: Kernel, kernel_y: Kernel) -> O
     W += W.T
     W *= 0.5
     return OperatorRep(dict=Dictionary(xs, ys), W=W, kernel_x=kernel_x, kernel_y=kernel_y)
-
-
-def gradient_norm_gram(U: OperatorRep, samples, lam: float) -> float:
-    """HS norm of the empirical regularized-risk gradient at U.
-
-    The gradient is dictionary-representable with coefficient matrix
-    ``W G_X / n - I/n + lam W`` over the same sample dictionary.
-    """
-    _check_lambda(lam)
-    if samples is not None:
-        xs, ys = _sample_arrays(samples)
-        if xs.shape != U.dict.xs.shape or not (np.array_equal(xs, U.dict.xs)
-                                               and np.array_equal(ys, U.dict.ys)):
-            raise InputError("operator dictionary must equal the sample list")
-    n = len(U)
-    if n == 0:
-        raise InputError("empty operator has no empirical gradient")
-    G = U.gram_x()
-    Wg = (U.W @ G) / n - np.eye(n) / n + lam * U.W
-    grad = OperatorRep(dict=U.dict, W=Wg, kernel_x=U.kernel_x, kernel_y=U.kernel_y)
-    return hs_norm(grad)
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +103,8 @@ class FiniteSpaceModel:
         J = np.asarray(self.joint, dtype=float)
         if J.shape != (xs.shape[0], ys.shape[0]):
             raise InputError("joint shape does not match the state lists")
+        if not (np.isfinite(xs).all() and np.isfinite(ys).all() and np.isfinite(J).all()):
+            raise InputError("states and joint probabilities must be finite")
         if np.any(J < -1e-15):
             raise ModelError("joint probabilities must be nonnegative")
         if abs(J.sum() - 1.0) > 1e-12:
@@ -135,6 +116,8 @@ class FiniteSpaceModel:
             P = np.asarray(self.transition, dtype=float)
             if P.shape != (xs.shape[0], xs.shape[0]):
                 raise InputError("transition shape does not match x_states")
+            if not np.isfinite(P).all():
+                raise InputError("transition probabilities must be finite")
             if not np.allclose(P.sum(axis=1), 1.0, atol=1e-12):
                 raise ModelError("transition rows must sum to 1")
             if np.any(P < -1e-15):

@@ -1,20 +1,20 @@
 """Data generation for learning and testing.
 
 Duffing-oscillator trajectory simulation (fixed-step RK4 under a coarser
-sampling interval), finite-state Markov-chain and IID sampling, and
-total-variation / mixing-time diagnostics.  All randomness flows through
-seeded generators, so identical sources produce bitwise-identical streams.
+sampling interval) and finite-state Markov-chain and IID sampling.  All
+randomness flows through seeded generators, so identical sources produce
+bitwise-identical streams.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
-from .batch import FiniteSpaceModel, stationary_distribution
-from .errors import InputError, ModelError
+from .batch import FiniteSpaceModel
+from .errors import InputError
 from .operator import strict_integer
 
 
@@ -29,6 +29,8 @@ class DuffingParams:
     sample_interval: float = 0.25
 
     def __post_init__(self):
+        if not all(-np.inf < v < np.inf for v in (self.delta, self.beta, self.alpha)):
+            raise InputError("Duffing delta, beta and alpha must be finite")
         if not (0 < self.dt_integrator < np.inf and 0 < self.sample_interval < np.inf):
             raise InputError("integrator step and sample interval must be finite and positive")
         ratio = self.sample_interval / self.dt_integrator
@@ -65,14 +67,19 @@ def duffing_step(state, p: DuffingParams) -> np.ndarray:
     """Advance one sampling interval with classical RK4 substeps.
 
     Accepts a single state (2,) or a batch (n, 2); the shape is preserved.
+    A state that overflows within the interval raises ``InputError``.
     """
     s = np.asarray(state, dtype=float)
     if s.shape[-1] != 2:
         raise InputError("Duffing state is (z, zdot)")
     if not np.all(np.isfinite(s)):
         raise InputError("non-finite Duffing state")
-    for _ in range(p.substeps):
-        s = _rk4(s, p, p.dt_integrator)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(p.substeps):
+            s = _rk4(s, p, p.dt_integrator)
+    if not np.all(np.isfinite(s)):
+        raise InputError(f"the Duffing state overflowed within one sampling interval "
+                         f"under {p}")
     return s
 
 
@@ -212,39 +219,3 @@ def generate_stream(src: Source):
     if isinstance(src, FiniteIIDStream):
         return _finite_iid_pairs(src)
     raise InputError(f"unknown stream source {src!r}")
-
-
-# ---------------------------------------------------------------------------
-# Mixing diagnostics
-# ---------------------------------------------------------------------------
-
-def tv_distance(p, q) -> float:
-    """Total variation distance between two finite distributions."""
-    p = np.asarray(p, dtype=float).reshape(-1)
-    q = np.asarray(q, dtype=float).reshape(-1)
-    if p.shape != q.shape:
-        raise InputError("distributions differ in length")
-    for v, name in ((p, "p"), (q, "q")):
-        if np.any(v < -1e-12) or abs(v.sum() - 1.0) > 1e-9:
-            raise InputError(f"{name} is not a probability vector")
-    return 0.5 * float(np.sum(np.abs(p - q)))
-
-
-def mixing_time(model: FiniteSpaceModel, delta: float, t_max: int) -> Optional[int]:
-    """Smallest t with max_start TV(P^t(start,.), pi) <= delta, or None.
-
-    Raises ``ModelError`` for chains without a unique stationary law.
-    """
-    if model.transition is None:
-        raise InputError("mixing time needs a transition matrix")
-    if not (0 < delta < 1):
-        raise InputError("delta must lie in (0, 1)")
-    P = model.transition
-    pi = stationary_distribution(P)
-    M = np.eye(P.shape[0])
-    for t in range(1, t_max + 1):
-        M = M @ P
-        worst = max(tv_distance(M[i], pi) for i in range(P.shape[0]))
-        if worst <= delta:
-            return t
-    return None

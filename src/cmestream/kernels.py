@@ -448,13 +448,14 @@ class GramCache:
         self.size = d + 1
 
     def _append_row(self, d: int, kvec: np.ndarray, diag: float):
-        l, u = self.solve_parts(kvec)
+        R = self._factor_view()
+        l = R @ kvec
         s = diag + self.jitter - l @ l
         if s <= SCHUR_FALLBACK_RTOL * (diag + self.jitter):
             self._factor(d + 1)     # degenerate pivot: refactor, escalating jitter
             return
         root = np.sqrt(s)
-        self._R[d, :d] = u / -root
+        self._R[d, :d] = (R.T @ l) / -root
         self._R[d, d] = 1.0 / root
 
     def _factor(self, n: int):
@@ -474,25 +475,18 @@ class GramCache:
             self._factor(self.size)
         return self._R[: self.size, : self.size]
 
-    def solve_parts(self, v, known: Optional[tuple] = None) -> tuple:
-        """``(l, u)`` with ``l = R v`` and ``u = R^T l = (G + jitter*I)^{-1} v``,
-        for a vector ``v`` or a matrix of columns.  ``known = (l0, u0)``, the
-        parts of ``v``'s first n entries against the factor of the first n
-        points, leaves only the rows of ``R`` appended since to read."""
+    def solve(self, v, u0: Optional[np.ndarray] = None) -> np.ndarray:
+        """``(G + jitter*I)^{-1} v`` as ``R^T (R v)``, for a vector ``v`` or a
+        matrix of columns.  Given ``u0``, the solve of ``v``'s first n entries
+        against the factor of the first n points, it reads only the rows of
+        the append-only, lower-triangular ``R`` added since."""
         R = self._factor_view()
-        if known is None:
-            l = R @ v
-            return l, R.T @ l
-        l0, u0 = known
-        n = l0.shape[0]
-        l1 = R[n:] @ v
-        u = R[n:].T @ l1
+        if u0 is None:
+            return R.T @ (R @ v)
+        n = u0.shape[0]
+        u = R[n:].T @ (R[n:] @ v)
         u[:n] += u0
-        return np.concatenate((l0, l1)), u
-
-    def solve(self, v) -> np.ndarray:
-        """``(G + jitter*I)^{-1} v`` as ``R^T (R v)``."""
-        return self.solve_parts(v)[1]
+        return u
 
     def inverse(self) -> np.ndarray:
         """Jittered inverse ``R^T R`` of the current Gram (a new matrix)."""

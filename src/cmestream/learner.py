@@ -34,16 +34,16 @@ element by element.
 each sample once into new 1-d float arrays as it reads it, and hands the
 state each chunk.  The block is the chunk: its first step computes, as
 matrix products, what its steps read from the dictionary alone: the kernel
-matrices, ``W K_x``, ``G_Y W K_x``, the X solves' ``R_x K_x`` and
-``R_x^T R_x K_x``, and ``W R_x^T R_x K_x`` for the projection's ``W h``,
-each held sample-major (``_Block``).  Each later step reads its rows and
-corrects them for what the block's earlier steps changed, logged as
-low-rank terms: one product of ``[k_x; u_x]`` with the logged ``V`` and one
-of the result with the logged ``[U | G_Y U]``, O(d b) in all.  So each
-d x d buffer is read once per block for these products, not once per
-sample.  A step called outside ``run_stream`` is a block of one: it takes
-the products as mat-vecs, bitwise what a ``_Block`` of one holds, and then
-the same arithmetic.  An error ``step`` raises before it changes the state
+matrices, ``W K_x``, ``G_Y W K_x``, the X solve ``R_x^T R_x K_x`` and
+``W R_x^T R_x K_x`` for the projection's ``W h``, each held sample-major
+(``_Block``).  Each later step reads its rows and corrects them for what
+the block's earlier steps changed, logged as low-rank terms: one product
+of ``[k_x; u_x]`` with the logged ``V`` and one of the result with the
+logged ``[U | G_Y U]``, O(d b) in all.  So each d x d buffer is read once
+per block for these products, not once per sample.  A step called
+outside ``run_stream`` is a block of one: it takes the products as
+mat-vecs, bitwise what a ``_Block`` of one holds, and then the same
+arithmetic.  An error ``step`` raises before it changes the state
 carries that state (``CmeError.state``).
 
 This is an implementation detail.  A hand loop of ``step`` matches the
@@ -353,8 +353,9 @@ class _Block:
     - ``WK``: ``A0 k_x``, zero past d0; ``GWK``: ``G_Y A0 k_x``, then
       ``k_y(i) . A0 k_x`` for each block sample i, the entry it brings if it
       joins;
-    - ``L``: ``R_x k_x``, ``LU``: ``R_x^T R_x k_x`` and ``WU = A0 LU``, when
-      the X factor exists and a step of the block tests a budget.
+    - ``LU``: the X solve ``R_x^T R_x k_x``, and ``WU = A0 LU``, when the X
+      factor exists and a step of the block tests a budget; then
+      ``factorizations`` is the X factor's count it was solved against.
 
     ``Kx`` and ``LU`` are the two planes of one b x 2 x (d0 + b) array
     ``KU``, so ``[k_x; u_x]`` of sample j is one 2 x d view.  ``WK`` and
@@ -384,13 +385,13 @@ class _Block:
     """
 
     __slots__ = ("d0", "w", "scale", "m", "KU", "Kx", "Ky", "WG", "GWK",
-                 "L", "factorizations", "V", "UG")
+                 "factorizations", "V", "UG")
 
     def __init__(self, state, px: np.ndarray, py: np.ndarray):
         b, d0 = len(px), state.dict_size
         self.d0 = d0
         self.w = w = d0 + b
-        self.scale, self.m, self.L = 1.0, 0, None
+        self.scale, self.m, self.factorizations = 1.0, 0, None
         gx, gy, cfg = state.gram_x, state.gram_y, state.cfg
         Kx, Ky = gx.kernel_matrix(px), gy.kernel_matrix(py)
         WK = state._apply(Kx)
@@ -401,36 +402,35 @@ class _Block:
         self.WG[:, 0, :d0] = WK.T
         self.GWK[:, :d0], self.GWK[:, d0:] = (gy.G @ WK).T, WK.T @ Ky
         if gx.has_inverse and cfg.eps_at(state.t + 1) != 0.0:
-            L, LU = gx.solve_parts(Kx)
-            self.L = np.ascontiguousarray(L.T)
+            LU = gx.solve(Kx)
             self.KU[:, 1, :d0] = LU.T
             self.WG[:, 1, :d0] = state._apply(LU).T
             self.factorizations = gx.factorizations
         self.V, self.UG = np.zeros((b, w)), np.zeros((b, 2 * w))
 
     def column(self, state, j: int, tests: bool) -> tuple:
-        """``(k_x, k_y, W k_x, G_Y W k_x, parts, W u_x)`` of sample j against
+        """``(k_x, k_y, W k_x, G_Y W k_x, u_x, W u_x)`` of sample j against
         the state now (``W`` in factored units), as arrays the caller must not
-        write.  ``parts = state.gram_x.solve_parts(k_x)`` when the step
-        ``tests`` a budget, else None; ``W u_x`` for its ``parts``, or None
-        where the step must take it itself."""
+        write.  ``u_x = state.gram_x.solve(k_x)`` when the step ``tests`` a
+        budget, else None; ``W u_x`` for it, or None where the step must take
+        it itself."""
         d, m, w = state.dict_size, self.m, self.w
         k_x = self.Kx[j, :d]
-        parts, rows = None, 1       # rows 2: u_x and W u_x are the block's own
+        u_x, rows = None, 1         # rows 2: u_x and W u_x are the block's own
         if tests:
             gx = state.gram_x
-            if self.L is None or gx.factorizations != self.factorizations:
-                parts = gx.solve_parts(k_x)
+            if gx.factorizations != self.factorizations:
+                u_x = gx.solve(k_x)
             elif d == self.d0:
-                parts, rows = (self.L[j], self.KU[j, 1, :d]), 2
+                u_x, rows = self.KU[j, 1, :d], 2
             else:
-                parts = gx.solve_parts(k_x, (self.L[j], self.KU[j, 1, :self.d0]))
+                u_x = gx.solve(k_x, self.KU[j, 1, :self.d0])
         wg = self.WG[j, :rows]
         if self.scale != 1.0:
             wg = self.scale * wg
         if m:
             wg = wg + (self.KU[j, :rows, :d] @ self.V[:m, :d].T) @ self.UG[:m]
-        return k_x, self.Ky[j, :d], wg[0, :d], wg[0, w: w + d], parts, \
+        return k_x, self.Ky[j, :d], wg[0, :d], wg[0, w: w + d], u_x, \
             wg[1, :d] if rows == 2 else None
 
     def rescale(self, f: float):
@@ -518,10 +518,10 @@ def step(state: LearnerState, cfg: LearnerConfig, sample) -> LearnerState:
         if blk is None:
             wk = state._apply(k_x)  # factored units
             pk = state.gram_y.G @ wk
-            parts_x = wu = None
+            u_x = wu = None
         else:
             tests = d != 0 and not contained and eps != 0.0
-            k_x, k_y, wk, pk, parts_x, wu = blk.column(state, j, tests)
+            k_x, k_y, wk, pk, u_x, wu = blk.column(state, j, tests)
         s_x = self_kernel(cfg.kernel_x, x)
         s_y = self_kernel(cfg.kernel_y, y)
 
@@ -542,9 +542,8 @@ def step(state: LearnerState, cfg: LearnerConfig, sample) -> LearnerState:
             delta = math.nan                    # zero budget admits; skip the test
         else:
             u_y = state.gram_y.solve(r)
-            if parts_x is None:
-                parts_x = state.gram_x.solve_parts(k_x)
-            u_x = parts_x[1]
+            if u_x is None:
+                u_x = state.gram_x.solve(k_x)
             kux = k_x @ u_x
             fit = float((u_y @ r) * kux)
             delta = eta * eta * clamp_roundoff(s_x * gg - fit, s_x * gg + fit,

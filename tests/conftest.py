@@ -5,7 +5,9 @@ sums over atoms for HS geometry, an explicitly assembled normal-equations
 solve for projections, the Gram-form expansion, residual and projection on
 explicit coefficient and Gram matrices (which the learner's ``step``
 computes in factored form), and the plain full-dictionary coefficient
-recursion for the online learner.
+recursion for the online learner.  It also holds the reference
+diagnostics that only tests call: the empirical gradient norm and a finite
+chain's total-variation distance and mixing time.
 """
 
 import os
@@ -16,7 +18,9 @@ import numpy as np
 import pytest
 
 import cmestream
-from cmestream import Dictionary, InputError, Kernel, OperatorRep, eval_kernel
+from cmestream import (Dictionary, FiniteSpaceModel, InputError, Kernel, OperatorRep,
+                       eval_kernel, hs_norm, stationary_distribution)
+from cmestream.batch import _check_lambda, _sample_arrays
 from cmestream.kernels import clamp_roundoff
 from cmestream.learner import _DELTA_CLAMP_RTOL
 
@@ -188,6 +192,64 @@ def naive_uncompressed(samples, cfg):
         ys.append(np.asarray(y, dtype=float))
     return OperatorRep(dict=Dictionary(np.array(xs), np.array(ys)), W=W,
                        kernel_x=cfg.kernel_x, kernel_y=cfg.kernel_y)
+
+
+# ---------------------------------------------------------------------------
+# Reference diagnostics (no program path calls them): the empirical gradient
+# norm of criterion 5, and the total-variation distance and mixing time of a
+# finite chain
+
+def gradient_norm_gram(U: OperatorRep, samples, lam: float) -> float:
+    """HS norm of the empirical regularized-risk gradient at U.
+
+    The gradient is dictionary-representable with coefficient matrix
+    ``W G_X / n - I/n + lam W`` over the same sample dictionary.
+    """
+    _check_lambda(lam)
+    if samples is not None:
+        xs, ys = _sample_arrays(samples)
+        if xs.shape != U.dict.xs.shape or not (np.array_equal(xs, U.dict.xs)
+                                               and np.array_equal(ys, U.dict.ys)):
+            raise InputError("operator dictionary must equal the sample list")
+    n = len(U)
+    if n == 0:
+        raise InputError("empty operator has no empirical gradient")
+    G = U.gram_x()
+    Wg = (U.W @ G) / n - np.eye(n) / n + lam * U.W
+    grad = OperatorRep(dict=U.dict, W=Wg, kernel_x=U.kernel_x, kernel_y=U.kernel_y)
+    return hs_norm(grad)
+
+
+def tv_distance(p, q) -> float:
+    """Total variation distance between two finite distributions."""
+    p = np.asarray(p, dtype=float).reshape(-1)
+    q = np.asarray(q, dtype=float).reshape(-1)
+    if p.shape != q.shape:
+        raise InputError("distributions differ in length")
+    for v, name in ((p, "p"), (q, "q")):
+        if np.any(v < -1e-12) or abs(v.sum() - 1.0) > 1e-9:
+            raise InputError(f"{name} is not a probability vector")
+    return 0.5 * float(np.sum(np.abs(p - q)))
+
+
+def mixing_time(model: FiniteSpaceModel, delta: float, t_max: int):
+    """Smallest t with max_start TV(P^t(start,.), pi) <= delta, or None.
+
+    Raises ``ModelError`` for chains without a unique stationary law.
+    """
+    if model.transition is None:
+        raise InputError("mixing time needs a transition matrix")
+    if not (0 < delta < 1):
+        raise InputError("delta must lie in (0, 1)")
+    P = model.transition
+    pi = stationary_distribution(P)
+    M = np.eye(P.shape[0])
+    for t in range(1, t_max + 1):
+        M = M @ P
+        worst = max(tv_distance(M[i], pi) for i in range(P.shape[0]))
+        if worst <= delta:
+            return t
+    return None
 
 
 def run_child(cwd, *args):

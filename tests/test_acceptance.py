@@ -20,9 +20,10 @@ from cmestream import (ConstantBudget, ConstantStep, Dictionary,
                        batch_solution, distance_to_oracle,
                        DuffingParams, DuffingTrajectories, duffing_trajectory,
                        eval_kernel, exact_finite_cme, generate_stream,
-                       gradient_norm_gram, grid_eval, hs_distance,
-                       koopman_spectrum, new_state, run_stream, step)
-from conftest import naive_uncompressed, projection_oracle, sgd_expand
+                       grid_eval, hs_distance, koopman_spectrum, new_state,
+                       run_stream, step)
+from conftest import (gradient_norm_gram, naive_uncompressed, projection_oracle,
+                      sgd_expand)
 
 
 def report(criterion, ok, detail):

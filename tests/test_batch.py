@@ -7,10 +7,9 @@ import pytest
 from cmestream import (Dictionary, FiniteSpaceModel, InputError, Kernel,
                        ModelError, OperatorRep, batch_solution,
                        conditional_expectation, distance_to_oracle,
-                       exact_finite_cme, gradient_norm_gram, gram_matrix,
-                       hs_distance, hs_norm, hs_norm_sq, predict_coefficients,
-                       stationary_distribution)
-from conftest import random_rep
+                       exact_finite_cme, gram_matrix, hs_distance, hs_norm,
+                       hs_norm_sq, predict_coefficients, stationary_distribution)
+from conftest import gradient_norm_gram, random_rep
 
 
 def random_samples(rng, n, dim=2):
@@ -227,6 +226,27 @@ class TestFiniteSpaceModel:
             FiniteSpaceModel(x_states=np.zeros((2, 1)), y_states=np.zeros((2, 1)),
                              joint=np.full((2, 2), 0.25),
                              transition=np.array([[0.5, 0.4], [0.5, 0.5]]))
+
+    @pytest.mark.parametrize("key, value", [
+        ("joint", [[np.nan, 0.5], [0.25, 0.25]]),
+        ("joint", [[np.inf, 0.5], [0.25, 0.25]]),
+        ("x_states", [[np.nan], [1.0]]),
+        ("y_states", [[0.0], [-np.inf]]),
+        ("transition", [[np.nan, 1.0], [0.5, 0.5]]),
+    ])
+    def test_non_finite_entry_rejected(self, key, value):
+        # a NaN joint entry passed the sum check: abs(nan - 1) > tol is False
+        model = {"x_states": [[0.0], [1.0]], "y_states": [[0.0], [1.0]],
+                 "joint": [[0.25, 0.25], [0.25, 0.25]], key: value}
+        with pytest.raises(InputError, match="must be finite"):
+            FiniteSpaceModel(**model)
+
+    def test_load_rejects_nan_literal(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text('{"x_states": [[0.0], [1.0]], "y_states": [[0.0], [1.0]], '
+                        '"joint": [[NaN, 0.5], [0.25, 0.25]]}')
+        with pytest.raises(InputError, match="must be finite"):
+            FiniteSpaceModel.load(path)
 
     def test_json_round_trip(self, three_state_chain, tmp_path):
         path = tmp_path / "model.json"

@@ -292,6 +292,30 @@ class TestCliSimulate:
         assert "unknown_knob" in capsys.readouterr().err
 
 
+    def test_overflowing_duffing_stream_writes_nothing(self, tmp_path, capsys):
+        # the state overflows within the stream's one sampling interval
+        cfg = duffing_config(n_traj=2, steps=1, seed=0)
+        cfg["stream"]["source"]["params"] = {"alpha": 1e6}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert run_cli("simulate", "--config", tmp_path / "cfg.json", "--out", out) == 2
+        assert "overflowed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nan_model_writes_nothing(self, tmp_path, capsys):
+        (tmp_path / "m.json").write_text(
+            '{"x_states": [[0.0], [1.0]], "y_states": [[0.0], [1.0]], '
+            '"joint": [[NaN, 0.5], [0.25, 0.25]]}')
+        cfg = duffing_config()
+        cfg["stream"] = {"source": {"kind": "finite_iid", "model_path": "m.json",
+                                    "n_samples": 50, "seed": 0}}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert run_cli("simulate", "--config", tmp_path / "cfg.json", "--out", out) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestCliLearn:
     def test_learn_outputs(self, duffing_cfg_file, tmp_path):
         out = tmp_path / "run"
@@ -396,7 +420,9 @@ class TestCliLearn:
     @pytest.mark.parametrize("section, key", [
         ("kernel", "bandwidth"), ("learner", "jitter_scale"),
         ("stream.source.params", "sample_interval"),
-        ("stream.source.params", "dt_integrator"), ("stream.source.init_box.1", 0)])
+        ("stream.source.params", "dt_integrator"), ("stream.source.init_box.1", 0),
+        ("stream.source.params", "delta"), ("stream.source.params", "beta"),
+        ("stream.source.params", "alpha")])
     def test_overflowing_setting_rejected(self, tmp_path, capsys, section, key):
         # 1e999 parses as inf, so it passes the schema but not the builders;
         # an infinite sample interval or box bound used to end in an

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from cmestream import (DuffingParams, DuffingTrajectories, FiniteChainStream,
                        FiniteIIDStream, FiniteSpaceModel, InputError,
                        ModelError, duffing_step, duffing_trajectory,
-                       generate_stream, mixing_time, tv_distance)
+                       generate_stream)
+from conftest import mixing_time, tv_distance
 
 EQ_PARAMS = DuffingParams()     # delta=0.5, beta=-1, alpha=1
 
@@ -33,6 +34,24 @@ class TestDuffingStep:
     def test_rejects_non_finite_state(self):
         with pytest.raises(InputError):
             duffing_step([np.nan, 0.0], EQ_PARAMS)
+
+    def test_overflow_raises(self):
+        with pytest.raises(InputError, match="overflowed"):
+            duffing_step([2.0, 0.0], DuffingParams(alpha=1e6))
+
+    def test_overflow_in_the_last_interval_raises(self):
+        # the last interval's output is the stream's last y, which no later
+        # step takes as its input
+        src = DuffingTrajectories(n_traj=2, steps_per_traj=1, seed=0,
+                                  params=DuffingParams(alpha=1e6))
+        with pytest.raises(InputError, match=r"alpha=1000000\.0"):
+            generate_stream(src)
+
+    @pytest.mark.parametrize("key", ["delta", "beta", "alpha"])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_coefficient_rejected(self, key, value):
+        with pytest.raises(InputError, match="must be finite"):
+            DuffingParams(**{key: value})
 
     def test_interval_must_be_multiple_of_dt(self):
         with pytest.raises(InputError):

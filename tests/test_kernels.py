@@ -323,6 +323,24 @@ class TestGramCache:
                                   cross_gram(kernel, pts, q[None, :])[:, 0].view(np.int64))
         assert np.array_equal(cache.G, gram_matrix(kernel, pts))
 
+    def test_partial_solve_matches_full_solve(self, gauss05, rng):
+        # u0 solved at n points, the cache then grown past capacity steps
+        # 16 -> 20 -> 25: solve(v, u0) reads only the factor rows added since
+        cache = GramCache(gauss05, jitter_scale=1e-10)
+        pts = rng.uniform(-2, 2, (25, 2))
+        v, V = rng.normal(size=25), rng.normal(size=(25, 3))
+        known = {}
+        for n, p in enumerate(pts, 1):
+            cache.append(p)
+            if n in (1, 9, 16, 20, 24, 25):
+                known[n] = cache.solve(v[:n]), cache.solve(V[:n])
+        assert cache._R.shape == (25, 25)
+        full, full_cols = cache.solve(v), cache.solve(V)
+        for n, (u0, U0) in known.items():
+            for got, want in ((cache.solve(v, u0), full), (cache.solve(V, U0), full_cols)):
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), n
+
     def test_composed_woodbury_property(self, gauss05, rng):
         # bordered updates composed n times equal the direct inverse, n <= 50
         cache = GramCache(gauss05, jitter_scale=1e-10)

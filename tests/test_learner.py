@@ -979,10 +979,10 @@ def relative_error(got, want) -> float:
 
 
 # relative tolerances per stream: (corrected vectors W k_x, G_Y W k_x and
-# W h; the X solve's parts), each about ten times the largest difference
+# W h; the X solve u_x), each about ten times the largest difference
 # measured over the stream.  The vectors carry the Y factor's inverse residual
 # through g = G_Y u_y, most on the near-duplicate and refactor streams; the
-# block's GEMM parts round apart from a mat-vec's by the X factor's condition
+# block's GEMM solves round apart from a mat-vec's by the X factor's condition
 COLUMN_RTOL = {"admits": (1e-14, 1e-14), "exact-folds": (1e-13, 2e-11),
                "growth-16-20-25": (1e-14, 1e-14), "lambda-eta-1": (1e-12, 4e-11),
                "polynomial": (3e-13, 2e-6), "near-duplicates": (3e-12, 2e-8),
@@ -1001,24 +1001,22 @@ class TestBlockColumns:
     def test_block_columns_are_the_mat_vecs(self, gauss05, rng, monkeypatch, name):
         from cmestream import learner
         stream, n, kw, _ = BLOCK_STREAMS[name]
-        worst = {"wk": 0.0, "pk": 0.0, "l": 0.0, "u": 0.0, "wh": 0.0}
-        seen = {"steps": 0, "parts": 0, "wh": 0}
+        worst = {"wk": 0.0, "pk": 0.0, "u": 0.0, "wh": 0.0}
+        seen = {"steps": 0, "u": 0, "wh": 0}
         column = learner._Block.column
 
         def checked(blk, state, j, tests):
             out = column(blk, state, j, tests)
-            k_x, _, wk, pk, parts, wu = out
+            k_x, _, wk, pk, u_x, wu = out
             gx = state.gram_x
             worst["wk"] = max(worst["wk"], relative_error(wk, state._apply(k_x)))
             worst["pk"] = max(worst["pk"], relative_error(pk, state.gram_y.G @ wk))
             seen["steps"] += 1
-            if parts is not None:
-                l, u = gx.solve_parts(k_x)
-                worst["l"] = max(worst["l"], relative_error(parts[0], l))
-                worst["u"] = max(worst["u"], relative_error(parts[1], u))
-                seen["parts"] += 1
+            if u_x is not None:
+                worst["u"] = max(worst["u"], relative_error(u_x, gx.solve(k_x)))
+                seen["u"] += 1
             if wu is not None:
-                h = k_x - gx.jitter * parts[1]
+                h = k_x - gx.jitter * u_x
                 worst["wh"] = max(worst["wh"],
                                   relative_error(wk - gx.jitter * wu, state._apply(h)))
                 seen["wh"] += 1
@@ -1028,13 +1026,13 @@ class TestBlockColumns:
         run_stream(block_cfg(gauss05, **kw), stream(rng, n))
         assert seen["steps"] > n // 2
         if "budget" in kw:
-            assert seen["parts"]
+            assert seen["u"]
         if "budget" in kw and n > 2 * learner._BLOCK:
             # a block takes W u_x only over a factored dictionary: not the first
             assert seen["wh"]
         vectors, solves = COLUMN_RTOL[name]
         assert max(worst["wk"], worst["pk"], worst["wh"]) <= vectors, worst
-        assert max(worst["l"], worst["u"]) <= solves, worst
+        assert worst["u"] <= solves, worst
 
     def test_zero_budget_builds_no_x_factor_or_x_gram(self):
         # the block forms [k_x; u_x] rows only where the X factor exists
@@ -1178,7 +1176,7 @@ class TestGramFactorHealth:
         assert np.array_equal(fresh._factor_view(), state.gram_x._factor_view())
 
     def test_admit_factor_row_matches_fresh_append(self):
-        # a blocked admit solves its row afresh, not from the block's R_x K_x
+        # a blocked admit's factor row is the one a fresh append solves
         cfg, samples = self._admit_run()
         self._assert_fresh_factor(cfg, run_stream(cfg, samples)[0])
 
